@@ -770,8 +770,8 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 				asp, d, h := asp, d, h
 				exactTasks = append(exactTasks, func(tctx context.Context) error {
 					an := anchorDefAn
+					var err error
 					if !d.anchored {
-						var err error
 						an, err = measureDefault(tctx, asp, d, needDefault)
 						if err != nil {
 							return err

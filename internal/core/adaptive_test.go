@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -198,6 +199,50 @@ func TestAdaptiveValidation(t *testing.T) {
 		af := af
 		if _, err := SweepEfficiency(f, SweepOptions{Adaptive: &af}); err == nil {
 			t.Fatalf("options %+v must be rejected", af)
+		}
+	}
+}
+
+// TestAdaptiveConcurrentHWWrapping runs adaptive sweeps whose exact phase
+// wraps HW survivors on several workers at once and requires their points
+// to be the sequential run's, bit for bit. Under -race it also pins that
+// the concurrent HW tasks share no state: each task keeps its own error.
+// The race detector only sees two tasks write shared state when their
+// unsynchronized stretches (hotspot detection and wrapping, ~0.1 ms) overlap
+// in time, so the 2-worker sweep runs several times and once more with more
+// workers than the host has cores, which stretches those windows.
+func TestAdaptiveConcurrentHWWrapping(t *testing.T) {
+	f := hotFlow(t, "mult8")
+	defer f.Close()
+	// Without co-analysis a task is mostly the unsynchronized wrapper
+	// stretch, which is what the race detector needs to see overlap.
+	f.Config.CoAnalysis = false
+	opts := SweepOptions{
+		Overheads:   []float64{0.05, 0.40},
+		Incremental: true,
+		Workers:     1,
+		Adaptive:    &AdaptiveOptions{GridScale: 3, Margin: math.Inf(1), CoarseFactor: 2, Aspects: []float64{1.0, 2.5}},
+	}
+	seq, err := SweepEfficiency(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(seq.PointsFor(StrategyHW)); n < 2 {
+		t.Fatalf("%d HW points: the exact phase must wrap several survivors", n)
+	}
+	for _, workers := range []int{2, 2, 2, 2 * runtime.GOMAXPROCS(0)} {
+		opts.Workers = workers
+		par, err := SweepEfficiency(f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(par.Points) != len(seq.Points) {
+			t.Fatalf("%d workers measured %d points, 1 worker %d", workers, len(par.Points), len(seq.Points))
+		}
+		for i := range seq.Points {
+			if par.Points[i] != seq.Points[i] {
+				t.Fatalf("point %d differs between %d workers and 1:\n  %d: %+v\n  1: %+v", i, workers, workers, par.Points[i], seq.Points[i])
+			}
 		}
 	}
 }

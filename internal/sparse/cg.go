@@ -70,7 +70,7 @@ const padStride = 8
 // no longer needed; a closed solver still works, serially. A CG value is
 // not safe for concurrent use.
 type CG struct {
-	m   *SymCSR
+	m   *Stencil7
 	opt CGOptions
 
 	r, z, p, ap []float64
@@ -92,35 +92,34 @@ type CG struct {
 
 // Worker op codes.
 const (
-	opResidual = iota // r = b - A*x, partial r·r
-	opMatVec          // ap = A*p
-	opDotPAp          // partial p·ap
-	opUpdateXR        // x += alpha*p, r -= alpha*ap, partial r·r
-	opPrecond         // z = r / diag, partial r·z
-	opUpdateP         // p = z + beta*p
-	opDotRZ           // partial r·z (external preconditioner)
+	opResidual  = iota // r = b - A*x, partial r·r
+	opMatVecDot        // ap = A*p, partial p·ap
+	opUpdateXR         // x += alpha*p, r -= alpha*ap, partial r·r
+	opPrecond          // z = r / diag, partial r·z
+	opUpdateP          // p = z + beta*p
+	opDotRZ            // partial r·z (external preconditioner)
 	opCount
 )
 
-// NewCG builds a solver for m. The matrix may be modified between Solve
-// calls (for example when the grid geometry changes) as long as its pattern
-// dimensions stay the same.
-func NewCG(m *SymCSR, opt CGOptions) *CG {
+// NewCG builds a solver for m. The matrix values may be modified between
+// Solve calls (for example when the grid geometry changes).
+func NewCG(m *Stencil7, opt CGOptions) *CG {
+	n := m.N()
 	if opt.Tolerance <= 0 {
 		opt.Tolerance = 1e-9
 	}
 	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 10 * m.N
+		opt.MaxIterations = 10 * n
 	}
 	w := opt.Workers
 	if w <= 0 {
-		w = AutoWorkers(m.N)
+		w = AutoWorkers(n)
 	}
 	if opt.Pool != nil && w > opt.Pool.Workers() {
 		w = opt.Pool.Workers()
 	}
-	if w > m.N {
-		w = m.N
+	if w > n {
+		w = n
 	}
 	if w < 1 {
 		w = 1
@@ -128,14 +127,14 @@ func NewCG(m *SymCSR, opt CGOptions) *CG {
 	c := &CG{
 		m:       m,
 		opt:     opt,
-		r:       make([]float64, m.N),
-		z:       make([]float64, m.N),
-		p:       make([]float64, m.N),
-		ap:      make([]float64, m.N),
+		r:       make([]float64, n),
+		z:       make([]float64, n),
+		p:       make([]float64, n),
+		ap:      make([]float64, n),
 		workers: w,
 	}
 	if w > 1 {
-		c.bounds = chunkBounds(m.N, w)
+		c.bounds = chunkBounds(n, w)
 		if opt.Pool != nil {
 			c.pool = opt.Pool
 		} else {
@@ -206,7 +205,7 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64) (iters int, residual 
 			err = fault.Recovered("sparse.CG.Solve", v)
 		}
 	}()
-	n := c.m.N
+	n := c.m.N()
 	if len(b) != n || len(x) != n {
 		return 0, 0, fmt.Errorf("sparse: vector length %d/%d does not match matrix size %d", len(b), len(x), n)
 	}
@@ -246,8 +245,7 @@ func (c *CG) SolveCtx(ctx context.Context, b, x []float64) (iters int, residual 
 				return iters - 1, residual, fault.Canceled(cerr)
 			}
 		}
-		c.run(opMatVec)
-		pap := c.run(opDotPAp)
+		pap := c.run(opMatVecDot)
 		if pap <= 0 {
 			return iters, residual, fmt.Errorf("sparse: CG breakdown (non-positive curvature); matrix not positive definite")
 		}
@@ -291,7 +289,7 @@ func (c *CG) precond(ctx context.Context) (float64, error) {
 // and returns the summed partial result (0 for ops without a reduction).
 func (c *CG) run(op int) float64 {
 	if !c.pool.Parallel(c.workers) {
-		return c.runRange(op, 0, c.m.N)
+		return c.runRange(op, 0, c.m.N())
 	}
 	return c.pool.Run(c.workers, c.tasks[op])
 }
@@ -301,14 +299,8 @@ func (c *CG) runRange(op, lo, hi int) float64 {
 	switch op {
 	case opResidual:
 		return c.m.residualRange(c.b, c.x, c.r, lo, hi)
-	case opMatVec:
-		c.m.matVecRange(c.p, c.ap, lo, hi)
-	case opDotPAp:
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			s += c.p[i] * c.ap[i]
-		}
-		return s
+	case opMatVecDot:
+		return c.m.matVecDotRange(c.p, c.ap, lo, hi)
 	case opUpdateXR:
 		alpha, s := c.alpha, 0.0
 		x, r, p, ap := c.x, c.r, c.p, c.ap

@@ -12,32 +12,26 @@ import (
 
 // spdStencil returns a strictly diagonally dominant (hence SPD) 7-point
 // system with a deterministic right-hand side.
-func spdStencil(nx, ny, nl int) (*SymCSR, []float64) {
+func spdStencil(nx, ny, nl int) (*Stencil7, []float64) {
 	m := NewStencil7(nx, ny, nl)
 	for i := range m.Diag {
 		m.Diag[i] = 8
 	}
-	for i := range m.Val {
-		m.Val[i] = -1
-	}
-	b := make([]float64, m.N)
+	setLinks(m, -1)
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = float64(i%13) + 1
 	}
 	return m, b
 }
 
-// TestNewMGMalformedStencil is the regression for the former coarse-operator
-// panic (buildCoarsening): a matrix whose adjacency does not match the
-// claimed grid geometry must surface as a typed fault.ErrSetup, not crash.
+// TestNewMGMalformedStencil: a hand-built stencil whose link arrays do not
+// match its grid must surface as a typed fault.ErrSetup from NewMG, not as
+// an index panic inside a later cycle.
 func TestNewMGMalformedStencil(t *testing.T) {
-	// A 4x4x4 stencil has 64 unknowns, so claiming it is an 8x2x4 grid
-	// passes the size check but breaks the adjacency the coarsening relies
-	// on.
-	// CoarsestN below 64 forces the coarsening (the default 128 would solve
-	// 64 unknowns directly and never look at the adjacency).
 	m, _ := spdStencil(4, 4, 4)
-	mg, err := NewMG(m, 8, 2, 4, MGOptions{CoarsestN: 16})
+	m.X = m.X[:len(m.X)-1]
+	mg, err := NewMG(m, MGOptions{CoarsestN: 16})
 	if err == nil {
 		t.Fatalf("NewMG accepted a malformed stencil: %v levels", mg.Levels())
 	}
@@ -45,13 +39,8 @@ func TestNewMGMalformedStencil(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("malformed stencil error not a fault.ErrSetup: %v", err)
 	}
-	if se.Stage != "coarsen" {
+	if se.Stage != "grid" {
 		t.Fatalf("wrong setup stage %q: %v", se.Stage, err)
-	}
-
-	// The size mismatch rejection is typed too.
-	if _, err := NewMG(m, 5, 5, 5, MGOptions{}); err == nil || !errors.As(err, &se) {
-		t.Fatalf("grid-mismatch error not a fault.ErrSetup: %v", err)
 	}
 }
 
@@ -61,7 +50,7 @@ func TestNewMGMalformedStencil(t *testing.T) {
 func TestCGNotConvergedTyped(t *testing.T) {
 	m, b := spdStencil(12, 12, 3)
 	cg := NewCG(m, CGOptions{Tolerance: 1e-12, MaxIterations: 2, Workers: 1})
-	x := make([]float64, m.N)
+	x := make([]float64, m.N())
 	iters, residual, err := cg.Solve(b, x)
 	if err == nil {
 		t.Fatalf("2-iteration budget unexpectedly converged (residual %g)", residual)
@@ -85,7 +74,7 @@ func TestCGCancelMidSolve(t *testing.T) {
 	m, b := spdStencil(24, 24, 4)
 	base := runtime.NumGoroutine()
 	cg := NewCG(m, CGOptions{Workers: 4, Tolerance: 1e-12})
-	x := make([]float64, m.N)
+	x := make([]float64, m.N())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // fires on the first per-iteration check
@@ -115,21 +104,21 @@ func TestCGCancelMidSolve(t *testing.T) {
 // multigrid preconditioner.
 func TestMGApplyCtxCancel(t *testing.T) {
 	m, b := spdStencil(16, 16, 3)
-	mg, err := NewMG(m, 16, 16, 3, MGOptions{})
+	mg, err := NewMG(m, MGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := mg.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	z := make([]float64, m.N)
+	z := make([]float64, m.N())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := mg.ApplyCtx(ctx, b, z); !errors.Is(err, fault.ErrCanceled) {
 		t.Fatalf("canceled ApplyCtx did not report fault.ErrCanceled: %v", err)
 	}
 	// With a live context the result matches Apply exactly.
-	want := make([]float64, m.N)
+	want := make([]float64, m.N())
 	mg.Apply(b, want)
 	live, liveCancel := context.WithCancel(context.Background())
 	defer liveCancel()
@@ -193,7 +182,7 @@ func TestCGPanicContained(t *testing.T) {
 	m, b := spdStencil(12, 12, 3)
 	cg := NewCG(m, CGOptions{Workers: 1})
 	cg.SetPrecond(panicPrecond{})
-	x := make([]float64, m.N)
+	x := make([]float64, m.N())
 	_, _, err := cg.Solve(b, x)
 	var pe *fault.ErrPanic
 	if !errors.As(err, &pe) {

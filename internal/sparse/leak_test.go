@@ -34,10 +34,8 @@ func TestCGCloseReleasesWorkers(t *testing.T) {
 	for i := range m.Diag {
 		m.Diag[i] = 8
 	}
-	for i := range m.Val {
-		m.Val[i] = -1
-	}
-	b := make([]float64, m.N)
+	setLinks(m, -1)
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = float64(i%7) + 1
 	}
@@ -49,7 +47,7 @@ func TestCGCloseReleasesWorkers(t *testing.T) {
 		if cg.Workers() != 4 {
 			t.Fatalf("explicit worker count not honored: %d", cg.Workers())
 		}
-		x := make([]float64, m.N)
+		x := make([]float64, m.N())
 		if _, _, err := cg.Solve(b, x); err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +58,7 @@ func TestCGCloseReleasesWorkers(t *testing.T) {
 	waitGoroutines(t, base)
 
 	// A closed solver still solves, serially, without restarting the pool.
-	x := make([]float64, m.N)
+	x := make([]float64, m.N())
 	if _, _, err := last.Solve(b, x); err != nil {
 		t.Fatalf("solve after Close: %v", err)
 	}

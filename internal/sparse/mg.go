@@ -10,59 +10,46 @@ import (
 
 // MGOptions tunes the geometric multigrid preconditioner.
 type MGOptions struct {
-	// PreSmooth and PostSmooth are the number of Gauss-Seidel sweeps before
-	// and after the coarse-grid correction. Zero means 1. The cycle is only
-	// a symmetric operator (a CG requirement) when the two are equal, so
-	// NewMG rejects unequal non-zero values.
-	PreSmooth, PostSmooth int
 	// CoarsestN stops the coarsening once a level has at most this many
 	// unknowns; that level is solved directly by dense Cholesky. Zero means
 	// 128: the factorization is O(n³) and runs on every Refresh, and the
 	// W-cycle hits the coarsest level 2^(levels-1) times per application,
 	// so a small direct level beats a shallow hierarchy on both counts.
 	CoarsestN int
-	// VCycle selects the plain V-cycle (one coarse-grid correction per
-	// level). The default is the W-cycle — two corrections per level —
-	// whose iteration counts stay flat as the grid grows; with 4x
-	// coarsening per level it costs only ~2x the fine-grid work of a
-	// V-cycle.
-	VCycle bool
-	// Pool runs the red-black smoother, residual and prolongation of the
-	// large levels on a shared worker pool (typically the same pool as the
-	// enclosing CG). Rows of one color never read each other, so the
-	// parallel sweeps are bit-identical to the serial ones for any worker
-	// count. Nil keeps every level serial. The pool is never closed by the
-	// MG; its owner closes it.
+	// Pool runs the red-black smoother, residual, restriction and
+	// prolongation of the large levels on a shared worker pool (typically
+	// the same pool as the enclosing CG), split by grid lines. Nodes of one
+	// colour never read each other and every restricted sum stays within
+	// one worker's lines, so the parallel cycle is bit-identical to the
+	// serial one for any worker count. Nil keeps every level serial. The
+	// pool is never closed by the MG; its owner closes it.
 	Pool *Pool
 }
 
-// MG is a geometric multigrid V-cycle specialized to the 7-point stencil of
-// an nx-by-ny-by-nl structured grid (node (l, ix, iy) at (l*ny+iy)*nx + ix,
-// the layout of NewStencil7 and of the thermal solver). It implements
+// MG is a geometric multigrid W-cycle on a Stencil7. It implements
 // Preconditioner, so it plugs into CG via CGOptions.Precond.
 //
 // The hierarchy coarsens 2x in x and y while keeping all nl layers — the
 // thermal stack has only a handful of layers and carries the strong
 // boundary coupling, so flattening it buys nothing. Each coarse operator is
 // the Galerkin product PᵀAP with piecewise-constant interpolation over the
-// 2x2 cell aggregates, which keeps every level a 7-point stencil on the
-// same SymCSR layout (each fine off-diagonal either crosses to exactly one
-// neighbouring aggregate or collapses onto the coarse diagonal). Smoothing
-// is red-black Gauss-Seidel — the 7-point stencil is bipartite under
-// (ix+iy+l) parity — applied red-then-black before the correction and
-// black-then-red after, which makes the V-cycle a fixed symmetric
-// positive-definite operator as CG requires. The coarsest level is solved
-// exactly by dense Cholesky.
+// 2x2 cell aggregates, which keeps every level a Stencil7: each fine link
+// either crosses to exactly one neighbouring aggregate or collapses onto
+// the coarse diagonal. Smoothing is red-black Gauss-Seidel — the 7-point
+// stencil is bipartite under (ix+iy+l) parity — applied red-then-black
+// before the correction and black-then-red after, which makes the cycle a
+// fixed symmetric positive-definite operator as CG requires. Every level
+// above the second-coarsest takes two coarse corrections (a W-cycle),
+// whose iteration counts stay flat as the grid grows; with 4x coarsening
+// per level it costs only ~2x the fine-grid work of a V-cycle. The
+// coarsest level is solved exactly by dense Cholesky.
 //
 // The fine matrix is referenced, not copied: after changing its values
 // (e.g. a die-geometry refresh), call Refresh to rebuild the coarse
-// operators and the coarsest factorization. The sparsity-dependent setup
-// (aggregates, Galerkin scatter targets, red-black ordering) is computed
-// once in NewMG; Refresh is a single O(nnz) accumulation pass per level.
-// An MG value is not safe for concurrent use.
+// operators and the coarsest factorization; Refresh is one O(n)
+// accumulation pass per level. An MG value is not safe for concurrent use.
 type MG struct {
 	levels []*mgLevel
-	opt    MGOptions
 
 	// ctx and ctxErr carry the cancellation state of an ApplyCtx in flight:
 	// cycle checks ctx at every level entry and records the abort in ctxErr,
@@ -73,108 +60,93 @@ type MG struct {
 }
 
 type mgLevel struct {
-	nx, ny, nl int
-	m          *SymCSR
+	m *Stencil7
+	// coarse is the next-coarser level's matrix, nil on the coarsest level.
+	coarse *Stencil7
 
-	// red and black split the rows by (ix+iy+l) parity for the smoother.
-	red, black []int32
-
-	// b, x and r are the per-level right-hand side, iterate and residual;
-	// r2 and x2 carry the second correction of a W-cycle. Each is only
-	// allocated on the levels that use it (level 0 works on the caller's
-	// vectors, the coarsest level never computes a residual, and only
-	// intermediate levels take a W-cycle second correction).
-	b, x, r, r2, x2 []float64
-
-	// parent maps each node to its aggregate on the next-coarser level;
-	// offTarget maps each off-diagonal entry to the coarse Val index it
-	// accumulates into, or to ^diagIndex when the entry is internal to an
-	// aggregate and collapses onto the coarse diagonal. Both are nil on the
-	// coarsest level.
-	parent    []int32
-	offTarget []int32
+	// b and x are the per-level right-hand side and iterate; r2 and x2
+	// carry the second correction of a W-cycle. Each is only allocated on
+	// the levels that use it (level 0 works on the caller's vectors, and
+	// the coarsest solve is exact, so it never takes a second correction).
+	b, x, r2, x2 []float64
 
 	// chol is the dense lower-triangular Cholesky factor of the coarsest
 	// level (row-major n*n), nil elsewhere.
 	chol []float64
 
-	// pool and kw enable kw-way parallel smoothing/residual/prolongation on
-	// this level (nil/0 on levels too small to split). curB/curX/curR/curCX
-	// carry the vectors of the operation in flight to the prebuilt tasks,
-	// which partition work by the precomputed bounds; the red-black
-	// independence of the 7-point stencil makes every parallel sweep
-	// bit-identical to the serial one.
-	pool                              *Pool
-	kw                                int
-	redBounds, blackBounds, rowBounds []int
-	curB, curX, curR, curCX           []float64
-	redTask, blackTask, zeroRedTask   func(w int) float64
-	residTask, prolongTask            func(w int) float64
+	// The level kernels run on kw workers (kw = 1: serially, on the
+	// caller). lineBounds splits the level's grid lines among them and
+	// coarseBounds the coarse level's lines, whose fine lines a worker
+	// restricts; scratch holds one line of residual per worker. pool and
+	// tasks are set on levels large enough to split, and curB/curX/curR/
+	// curCX carry the vectors of the kernel in flight to the workers.
+	pool                     *Pool
+	kw                       int
+	lineBounds, coarseBounds []int
+	scratch                  [][]float64
+	curB, curX, curR, curCX  []float64
+	tasks                    [mgOpCount]func(w int) float64
 }
 
-// NewMG builds the multigrid hierarchy for m, which must be the 7-point
-// stencil of an nx-by-ny-by-nl grid in NewStencil7 layout. Matrix values
-// may still be zero at this point; call Refresh once they are filled (and
-// again after every in-place value change).
-func NewMG(m *SymCSR, nx, ny, nl int, opt MGOptions) (*MG, error) {
-	if nx < 1 || ny < 1 || nl < 1 || nx*ny*nl != m.N {
-		return nil, &fault.ErrSetup{Stage: "grid",
-			Err: fmt.Errorf("sparse: MG grid %dx%dx%d does not match matrix size %d", nx, ny, nl, m.N)}
+// Level kernels.
+const (
+	mgJacobiRed = iota // x = b/diag on red nodes
+	mgRed              // Gauss-Seidel half-sweep on red nodes
+	mgBlack            // Gauss-Seidel half-sweep on black nodes
+	mgResidual         // r = b - A*x
+	mgRestrict         // coarse b = Pᵀ(b - A*x)
+	mgProlong          // x += P*(coarse x) on red nodes
+	mgOpCount
+)
+
+// Colours of the red-black smoother.
+const (
+	red = iota
+	black
+)
+
+// NewMG builds the multigrid hierarchy for m. Matrix values may still be
+// zero at this point; call Refresh once they are filled (and again after
+// every in-place value change).
+func NewMG(m *Stencil7, opt MGOptions) (*MG, error) {
+	if err := m.check(); err != nil {
+		return nil, &fault.ErrSetup{Stage: "grid", Err: err}
 	}
-	if opt.PreSmooth <= 0 {
-		opt.PreSmooth = 1
-	}
-	// A cycle with unequal pre/post smoothing is not a symmetric operator;
-	// CG would silently diverge. Reject the misconfiguration instead of
-	// ignoring the field.
-	if opt.PostSmooth > 0 && opt.PostSmooth != opt.PreSmooth {
-		return nil, &fault.ErrSetup{Stage: "smoother",
-			Err: fmt.Errorf("sparse: MG needs PostSmooth == PreSmooth for a symmetric cycle (got %d/%d)", opt.PreSmooth, opt.PostSmooth)}
-	}
-	opt.PostSmooth = opt.PreSmooth
 	if opt.CoarsestN <= 0 {
 		opt.CoarsestN = 128
 	}
 
-	g := &MG{opt: opt}
-	lv := newMGLevel(m, nx, ny, nl)
+	g := &MG{}
+	lv := &mgLevel{m: m}
 	g.levels = append(g.levels, lv)
-	for lv.m.N > opt.CoarsestN {
-		nxc, nyc := (lv.nx+1)/2, (lv.ny+1)/2
-		if nxc*nyc*lv.nl >= lv.m.N {
+	for lv.m.N() > opt.CoarsestN {
+		nxc, nyc := (lv.m.NX+1)/2, (lv.m.NY+1)/2
+		if nxc*nyc*lv.m.NL >= lv.m.N() {
 			break // cannot coarsen further (nx = ny = 1)
 		}
-		coarse := newMGLevel(NewStencil7(nxc, nyc, lv.nl), nxc, nyc, lv.nl)
-		if err := lv.buildCoarsening(coarse); err != nil {
-			return nil, &fault.ErrSetup{Stage: "coarsen", Err: err}
-		}
-		g.levels = append(g.levels, coarse)
-		lv = coarse
+		lv.coarse = NewStencil7(nxc, nyc, lv.m.NL)
+		lv = &mgLevel{m: lv.coarse}
+		g.levels = append(g.levels, lv)
 	}
 	last := len(g.levels) - 1
-	g.levels[last].chol = make([]float64, g.levels[last].m.N*g.levels[last].m.N)
-	for i, lv := range g.levels {
-		n := lv.m.N
+	g.levels[last].chol = make([]float64, g.levels[last].m.N()*g.levels[last].m.N())
+	for i, lv := range g.levels[:last] {
+		n := lv.m.N()
 		if i > 0 {
-			// Restriction target and coarse iterate, written by the parent
-			// level; level 0 works on the caller's r/z directly.
-			lv.b = make([]float64, n)
-			lv.x = make([]float64, n)
-		}
-		if i < last {
-			lv.r = make([]float64, n) // residual before restriction
-		}
-		if i > 0 && i < last {
-			// Second W-cycle correction; the coarsest solve is exact, so
-			// it never takes one.
+			// Second W-cycle correction.
 			lv.r2 = make([]float64, n)
 			lv.x2 = make([]float64, n)
 		}
-	}
-	if opt.Pool != nil && opt.Pool.Workers() > 1 {
-		for _, lv := range g.levels {
-			lv.setupPool(opt.Pool)
+		// Restriction target and coarse iterate of the next level, written
+		// by this one; level 0 works on the caller's r/z directly.
+		next := g.levels[i+1]
+		next.b = make([]float64, next.m.N())
+		next.x = make([]float64, next.m.N())
+		k := 1
+		if opt.Pool != nil {
+			k = max(1, min(opt.Pool.Workers(), n/minRowsPerWorker, lv.m.NY*lv.m.NL, lv.coarse.NY*lv.coarse.NL))
 		}
+		lv.setWorkers(k, opt.Pool)
 	}
 	return g, nil
 }
@@ -188,75 +160,112 @@ func chunkBounds(n, k int) []int {
 	return b
 }
 
-// setupPool attaches the shared pool to a level large enough to benefit and
-// prebuilds the partitioned tasks so a cycle allocates nothing.
-func (lv *mgLevel) setupPool(p *Pool) {
-	k := p.Workers()
-	if byRows := lv.m.N / minRowsPerWorker; k > byRows {
-		k = byRows
+// setWorkers splits the level's lines k ways and, for k > 1, attaches the
+// shared pool and prebuilds the partitioned tasks so a cycle allocates
+// nothing.
+func (lv *mgLevel) setWorkers(k int, p *Pool) {
+	lv.kw = k
+	lv.lineBounds = chunkBounds(lv.m.NY*lv.m.NL, k)
+	lv.coarseBounds = chunkBounds(lv.coarse.NY*lv.coarse.NL, k)
+	lv.scratch = make([][]float64, k)
+	for w := range lv.scratch {
+		lv.scratch[w] = make([]float64, lv.m.NX)
 	}
-	if k < 2 || lv.chol != nil {
+	if k < 2 {
 		return
 	}
 	lv.pool = p
-	lv.kw = k
-	lv.redBounds = chunkBounds(len(lv.red), k)
-	lv.blackBounds = chunkBounds(len(lv.black), k)
-	lv.rowBounds = chunkBounds(lv.m.N, k)
-	lv.redTask = func(w int) float64 {
-		lv.gsRows(lv.curB, lv.curX, lv.red[lv.redBounds[w]:lv.redBounds[w+1]])
-		return 0
-	}
-	lv.blackTask = func(w int) float64 {
-		lv.gsRows(lv.curB, lv.curX, lv.black[lv.blackBounds[w]:lv.blackBounds[w+1]])
-		return 0
-	}
-	lv.zeroRedTask = func(w int) float64 {
-		b, x, diag := lv.curB, lv.curX, lv.m.Diag
-		for _, i := range lv.red[lv.redBounds[w]:lv.redBounds[w+1]] {
-			x[i] = b[i] / diag[i]
+	for op := 0; op < mgOpCount; op++ {
+		lv.tasks[op] = func(w int) float64 {
+			lv.runLines(op, w)
+			return 0
 		}
-		return 0
-	}
-	lv.residTask = func(w int) float64 {
-		lv.m.residualRange(lv.curB, lv.curX, lv.curR, lv.rowBounds[w], lv.rowBounds[w+1])
-		return 0
-	}
-	lv.prolongTask = func(w int) float64 {
-		x, cx := lv.curX, lv.curCX
-		for i := lv.rowBounds[w]; i < lv.rowBounds[w+1]; i++ {
-			x[i] += cx[lv.parent[i]]
-		}
-		return 0
 	}
 }
 
-func newMGLevel(m *SymCSR, nx, ny, nl int) *mgLevel {
-	lv := &mgLevel{nx: nx, ny: ny, nl: nl, m: m}
-	for l := 0; l < nl; l++ {
-		for iy := 0; iy < ny; iy++ {
-			for ix := 0; ix < nx; ix++ {
-				i := int32((l*ny+iy)*nx + ix)
-				if (ix+iy+l)%2 == 0 {
-					lv.red = append(lv.red, i)
-				} else {
-					lv.black = append(lv.black, i)
-				}
+// run executes one level kernel, partitioned across the pool workers on
+// levels that carry a pool and share by share on the calling goroutine
+// otherwise.
+func (lv *mgLevel) run(op int, b, x, r, cx []float64) {
+	lv.curB, lv.curX, lv.curR, lv.curCX = b, x, r, cx
+	if lv.pool.Parallel(lv.kw) {
+		lv.pool.Run(lv.kw, lv.tasks[op])
+		return
+	}
+	for w := 0; w < lv.kw; w++ {
+		lv.runLines(op, w)
+	}
+}
+
+// runLines runs one level kernel on worker w's share of the grid lines.
+func (lv *mgLevel) runLines(op, w int) {
+	m, b, x := lv.m, lv.curB, lv.curX
+	lo, hi := lv.lineBounds[w], lv.lineBounds[w+1]
+	switch op {
+	case mgResidual:
+		m.residualRange(b, x, lv.curR, lo*m.NX, hi*m.NX)
+		return
+	case mgRestrict:
+		lv.restrictLines(b, x, lv.curR, lv.scratch[w], lv.coarseBounds[w], lv.coarseBounds[w+1])
+		return
+	}
+	g := m.lineAt(lo)
+	for ln := lo; ln < hi; ln, g = ln+1, m.next(g) {
+		switch op {
+		case mgJacobiRed:
+			m.jacobiLine(b, x, g, red)
+		case mgRed:
+			m.gsLine(b, x, g, red)
+		case mgBlack:
+			m.gsLine(b, x, g, black)
+		case mgProlong:
+			lv.prolongLine(x, lv.curCX, g)
+		}
+	}
+}
+
+// restrictLines computes the coarse right-hand side cb = Pᵀ(b - A*x) on the
+// coarse lines [lo, hi): each coarse node is zeroed and then sums the
+// residuals of its fine aggregate in fine-index order, exactly as Restrict
+// would from a stored residual vector. A coarse line's two fine lines
+// belong to the same worker, so the sums are the same for any split. t is
+// a scratch line for the fine residual.
+func (lv *mgLevel) restrictLines(b, x, cb, t []float64, lo, hi int) {
+	m, c := lv.m, lv.coarse
+	cg := c.lineAt(lo)
+	for cl := lo; cl < hi; cl, cg = cl+1, c.next(cg) {
+		row := cb[cg.i0 : cg.i0+c.NX]
+		clear(row)
+		for iy := 2 * cg.iy; iy < min(2*cg.iy+2, m.NY); iy++ {
+			g := gridLine{cg.l, iy, (cg.l*m.NY + iy) * m.NX}
+			m.axLine(x, t, g, 0, m.NX)
+			for ix, v := range b[g.i0 : g.i0+m.NX] {
+				row[ix/2] += v - t[ix]
 			}
 		}
 	}
-	return lv
+}
+
+// prolongLine adds the coarse correction onto the red nodes of fine line g.
+// The black nodes are left alone: the black half-sweep that follows
+// overwrites them without reading them.
+func (lv *mgLevel) prolongLine(x, cx []float64, g gridLine) {
+	m, c := lv.m, lv.coarse
+	xl := x[g.i0 : g.i0+m.NX]
+	cl := cx[(g.l*c.NY+g.iy/2)*c.NX:]
+	for ix := (g.l + g.iy) & 1; ix < len(xl); ix += 2 {
+		xl[ix] += cl[ix/2]
+	}
 }
 
 // Aggregate returns the piecewise-constant aggregation map from a fine
 // nx-by-ny-by-nl grid onto a coarse cnx-by-cny grid with the same nl layers:
 // out[i] is the coarse node of fine node i, both in the (l*ny+iy)*nx + ix
-// layout of NewStencil7. Fine cell ix lands in coarse cell ix*cnx/nx (the
-// proportional map), which for cnx = ceil(nx/2) is exactly the 2x-coarsened
-// aggregate map of the MG hierarchy — MG's buildCoarsening and the thermal
-// solver's CoarseFactor power-map restriction both go through it, so a
-// downsampled operator and the hierarchy's own coarse levels agree on which
-// fine cells pool together.
+// layout of Stencil7. Fine cell ix lands in coarse cell ix*cnx/nx (the
+// proportional map), which for cnx = ceil(nx/2) is ix/2, the aggregate of
+// the MG hierarchy — so the thermal solver's CoarseFactor power-map
+// restriction and the hierarchy's own coarse levels agree on which fine
+// cells pool together.
 func Aggregate(nx, ny, nl, cnx, cny int) []int32 {
 	parent := make([]int32, nx*ny*nl)
 	for l := 0; l < nl; l++ {
@@ -272,9 +281,9 @@ func Aggregate(nx, ny, nl, cnx, cny int) []int32 {
 
 // Restrict applies the transpose of piecewise-constant interpolation: coarse
 // is zeroed and every fine entry is summed into its aggregate, in fine-index
-// order (float addition order is fixed, so the result is reproducible). This
-// is the restriction MG's cycle applies to residuals, exported for callers
-// that downsample grid-shaped data (power maps) with the same operator.
+// order (float addition order is fixed, so the result is reproducible). MG's
+// cycle restricts its residuals the same way; callers use it to downsample
+// grid-shaped data (power maps) with the same operator.
 func Restrict(fine []float64, parent []int32, coarse []float64) {
 	for i := range coarse {
 		coarse[i] = 0
@@ -284,82 +293,95 @@ func Restrict(fine []float64, parent []int32, coarse []float64) {
 	}
 }
 
-// buildCoarsening computes the aggregate map onto coarse and the Galerkin
-// scatter target of every fine off-diagonal entry. It reports an error —
-// rather than panicking — when the matrix is not the 7-point stencil of the
-// claimed grid (every crossing link of a true stencil lands on a 7-point
-// coarse neighbour by construction, so a miss means the caller's geometry
-// and matrix disagree).
-func (lv *mgLevel) buildCoarsening(coarse *mgLevel) error {
-	lv.parent = Aggregate(lv.nx, lv.ny, lv.nl, coarse.nx, coarse.ny)
-	cm := coarse.m
-	lv.offTarget = make([]int32, len(lv.m.Col))
-	for i := 0; i < lv.m.N; i++ {
-		pi := lv.parent[i]
-		for k := lv.m.RowPtr[i]; k < lv.m.RowPtr[i+1]; k++ {
-			pj := lv.parent[lv.m.Col[k]]
-			if pi == pj {
-				lv.offTarget[k] = ^pi
-				continue
+// galerkin sets c = PᵀfP for the 2x2 aggregation of f onto c. Every coarse
+// entry is a sum in a fixed order: a coarse diagonal takes the fine
+// diagonals of its aggregate in fine-index order and then the links
+// internal to the aggregate row by row, each row's in stencil order; a
+// coarse link takes the fine links crossing it in fine-index order. A
+// crossing link is gathered from the row whose lower link it is, which is
+// the order the upper side's links arrive in too, so the coarse matrix the
+// links describe is exactly PᵀfP.
+func galerkin(f, c *Stencil7) {
+	clear(c.Diag)
+	clear(c.Z)
+	clear(c.Y)
+	clear(c.X)
+	nx, ny := f.NX, f.NY
+	parent := func(l, iy, ix int) int { return (l*c.NY+iy/2)*c.NX + ix/2 }
+	i := 0
+	for l := 0; l < f.NL; l++ {
+		for iy := 0; iy < ny; iy++ {
+			for ix := 0; ix < nx; ix++ {
+				c.Diag[parent(l, iy, ix)] += f.Diag[i]
+				i++
 			}
-			t := int32(-1)
-			for ck := cm.RowPtr[pi]; ck < cm.RowPtr[pi+1]; ck++ {
-				if cm.Col[ck] == pj {
-					t = ck
-					break
-				}
-			}
-			if t < 0 {
-				return fmt.Errorf("sparse: MG coarse entry (%d,%d) missing: matrix is not the 7-point stencil of a %dx%dx%d grid",
-					pi, pj, lv.nx, lv.ny, lv.nl)
-			}
-			lv.offTarget[k] = t
 		}
 	}
-	return nil
+	i = 0
+	for l := 0; l < f.NL; l++ {
+		for iy := 0; iy < ny; iy++ {
+			for ix := 0; ix < nx; ix++ {
+				p := parent(l, iy, ix)
+				if l > 0 {
+					c.Z[p] += f.Z[i] // layers are never merged
+				}
+				if iy > 0 {
+					if iy&1 == 1 {
+						c.Diag[p] += f.Y[i]
+					} else {
+						c.Y[p] += f.Y[i]
+					}
+				}
+				if ix > 0 {
+					if ix&1 == 1 {
+						c.Diag[p] += f.X[i]
+					} else {
+						c.X[p] += f.X[i]
+					}
+				}
+				if ix+1 < nx && ix&1 == 0 {
+					c.Diag[p] += f.X[i+1]
+				}
+				if iy+1 < ny && iy&1 == 0 {
+					c.Diag[p] += f.Y[i+nx]
+				}
+				i++
+			}
+		}
+	}
 }
 
 // Refresh rebuilds the coarse-level operators from the current fine-matrix
 // values (Galerkin products level by level) and refactorizes the coarsest
 // level. Call it after every in-place change to the fine matrix values.
 func (g *MG) Refresh() error {
-	for l := 0; l+1 < len(g.levels); l++ {
-		fine, coarse := g.levels[l], g.levels[l+1]
-		cd, cv := coarse.m.Diag, coarse.m.Val
-		for i := range cd {
-			cd[i] = 0
-		}
-		for i := range cv {
-			cv[i] = 0
-		}
-		for i, p := range fine.parent {
-			cd[p] += fine.m.Diag[i]
-		}
-		for k, t := range fine.offTarget {
-			if t >= 0 {
-				cv[t] += fine.m.Val[k]
-			} else {
-				cd[^t] += fine.m.Val[k]
-			}
-		}
+	last := len(g.levels) - 1
+	for _, lv := range g.levels[:last] {
+		galerkin(lv.m, lv.coarse)
 	}
-	if err := g.levels[len(g.levels)-1].factorize(); err != nil {
+	if err := g.levels[last].factorize(); err != nil {
 		return &fault.ErrSetup{Stage: "factorize", Err: err}
 	}
 	return nil
 }
 
 // factorize computes the dense Cholesky factor of the coarsest operator.
+// The factorization reads only the lower triangle, so only that is filled.
 func (lv *mgLevel) factorize() error {
-	n := lv.m.N
+	m := lv.m
+	n, nx, nxy := m.N(), m.NX, m.NX*m.NY
 	a := lv.chol
-	for i := range a {
-		a[i] = 0
-	}
+	clear(a)
 	for i := 0; i < n; i++ {
-		a[i*n+i] = lv.m.Diag[i]
-		for k := lv.m.RowPtr[i]; k < lv.m.RowPtr[i+1]; k++ {
-			a[i*n+int(lv.m.Col[k])] = lv.m.Val[k]
+		a[i*n+i] = m.Diag[i]
+		if i >= nxy {
+			a[i*n+i-nxy] = m.Z[i]
+		}
+		if (i/nx)%m.NY > 0 {
+			a[i*n+i-nx] = m.Y[i]
+		}
+		if i%nx > 0 {
+			a[i*n+i-1] = m.X[i]
 		}
 	}
 	// In-place lower Cholesky.
@@ -386,7 +408,7 @@ func (lv *mgLevel) factorize() error {
 
 // solveDirect solves the coarsest system by forward/back substitution.
 func (lv *mgLevel) solveDirect(b, x []float64) {
-	n := lv.m.N
+	n := lv.m.N()
 	a := lv.chol
 	// L y = b
 	for i := 0; i < n; i++ {
@@ -406,7 +428,7 @@ func (lv *mgLevel) solveDirect(b, x []float64) {
 	}
 }
 
-// Apply runs one V-cycle on r: z = B·r with B the fixed SPD multigrid
+// Apply runs one W-cycle on r: z = B·r with B the fixed SPD multigrid
 // operator. r is left untouched. It delegates to ApplyCtx with a background
 // context, whose nil-Done fast path is exactly the uninstrumented cycle.
 func (g *MG) Apply(r, z []float64) {
@@ -434,7 +456,7 @@ func (g *MG) ApplyCtx(ctx context.Context, r, z []float64) error {
 // Levels returns the depth of the hierarchy (1 = direct solve only).
 func (g *MG) Levels() int { return len(g.levels) }
 
-// cycle runs the V-cycle at one level: x = (approximate A⁻¹)·b with a zero
+// cycle runs the W-cycle at one level: x = (approximate A⁻¹)·b with a zero
 // initial iterate.
 func (g *MG) cycle(l int, b, x []float64) {
 	if g.ctx != nil {
@@ -452,106 +474,26 @@ func (g *MG) cycle(l int, b, x []float64) {
 		return
 	}
 	// The cycle starts from a zero iterate, so the first red half-sweep
-	// collapses to x = b/diag; it writes every red row and the black
+	// collapses to x = b/diag; it writes every red node and the black
 	// half-sweep only reads red neighbours (the stencil is bipartite), so
 	// no explicit zeroing of x is needed.
-	lv.zeroRed(b, x)
-	lv.gsPass(b, x, black)
-	for s := 1; s < g.opt.PreSmooth; s++ {
-		lv.gsPass(b, x, red)
-		lv.gsPass(b, x, black)
-	}
-	lv.residual(b, x, lv.r)
+	lv.run(mgJacobiRed, b, x, nil, nil)
+	lv.run(mgBlack, b, x, nil, nil)
 	next := g.levels[l+1]
-	Restrict(lv.r, lv.parent, next.b)
+	lv.run(mgRestrict, b, x, next.b, nil)
 	g.cycle(l+1, next.b, next.x)
-	if !g.opt.VCycle && next.chol == nil {
+	if next.chol == nil {
 		// W-cycle: a second correction against the coarse residual. The
 		// compound step v + M(b - Av) is still a fixed symmetric
 		// positive-definite operator (error propagation (I-MA)²), so CG
 		// stays valid.
-		next.residual(next.b, next.x, next.r2)
+		next.run(mgResidual, next.b, next.x, next.r2, nil)
 		g.cycle(l+1, next.r2, next.x2)
 		for i, v := range next.x2 {
 			next.x[i] += v
 		}
 	}
-	lv.prolong(x, next.x)
-	for s := 0; s < g.opt.PostSmooth; s++ {
-		lv.gsPass(b, x, black)
-		lv.gsPass(b, x, red)
-	}
-}
-
-// Color classes of the red-black smoother.
-const (
-	red = iota
-	black
-)
-
-// zeroRed runs the zero-iterate shortcut of the first red half-sweep.
-func (lv *mgLevel) zeroRed(b, x []float64) {
-	if lv.pool.Parallel(lv.kw) {
-		lv.curB, lv.curX = b, x
-		lv.pool.Run(lv.kw, lv.zeroRedTask)
-		return
-	}
-	for _, i := range lv.red {
-		x[i] = b[i] / lv.m.Diag[i]
-	}
-}
-
-// gsPass runs one Gauss-Seidel half-sweep over the given color class,
-// partitioned across the pool workers on levels that carry one. Rows of one
-// color only read the other color's entries, so the result is identical for
-// any partition.
-func (lv *mgLevel) gsPass(b, x []float64, color int) {
-	if lv.pool.Parallel(lv.kw) {
-		lv.curB, lv.curX = b, x
-		if color == red {
-			lv.pool.Run(lv.kw, lv.redTask)
-		} else {
-			lv.pool.Run(lv.kw, lv.blackTask)
-		}
-		return
-	}
-	if color == red {
-		lv.gsRows(b, x, lv.red)
-	} else {
-		lv.gsRows(b, x, lv.black)
-	}
-}
-
-// gsRows applies the Gauss-Seidel update to the given rows.
-func (lv *mgLevel) gsRows(b, x []float64, rows []int32) {
-	m := lv.m
-	for _, i := range rows {
-		s := b[i]
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s -= m.Val[k] * x[m.Col[k]]
-		}
-		x[i] = s / m.Diag[i]
-	}
-}
-
-// residual computes r = b - A*x, row-partitioned on pooled levels.
-func (lv *mgLevel) residual(b, x, r []float64) {
-	if lv.pool.Parallel(lv.kw) {
-		lv.curB, lv.curX, lv.curR = b, x, r
-		lv.pool.Run(lv.kw, lv.residTask)
-		return
-	}
-	lv.m.residualRange(b, x, r, 0, lv.m.N)
-}
-
-// prolong adds the coarse correction back onto the fine iterate.
-func (lv *mgLevel) prolong(x, coarseX []float64) {
-	if lv.pool.Parallel(lv.kw) {
-		lv.curX, lv.curCX = x, coarseX
-		lv.pool.Run(lv.kw, lv.prolongTask)
-		return
-	}
-	for i, p := range lv.parent {
-		x[i] += coarseX[p]
-	}
+	lv.run(mgProlong, nil, x, nil, next.x)
+	lv.run(mgBlack, b, x, nil, nil)
+	lv.run(mgRed, b, x, nil, nil)
 }

@@ -10,41 +10,30 @@ import (
 // mirroring the thermal system's structure: anisotropic lateral/vertical
 // links plus an ambient tie on the bottom layer and the side walls (which
 // keeps the matrix non-singular, like the real boundary conditions).
-func fillThermalLike(m *SymCSR, nx, ny, nl int) {
-	const gx, gy, gz, gamb = 2.2e-3, 2.2e-3, 4.5e-4, 3.9e-5
-	nxy := nx * ny
-	for i := 0; i < m.N; i++ {
-		l := i / nxy
-		rem := i % nxy
-		iy, ix := rem/nx, rem%nx
-		d := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := int(m.Col[k])
-			var g float64
-			switch {
-			case j == i-1 || j == i+1:
-				g = gx
-			case j == i-nx || j == i+nx:
-				g = gy
-			default:
-				g = gz
-			}
-			m.Val[k] = -g
-			d += g
-		}
+func fillThermalLike(m *Stencil7) {
+	const gamb = 3.9e-5
+	g := [3]float64{4.5e-4, 2.2e-3, 2.2e-3} // z, y, x
+	nx, ny, nxy := m.NX, m.NY, m.NX*m.NY
+	clear(m.Diag)
+	eachLink(m, func(i, j, axis int, v *float64) {
+		*v = -g[axis]
+		m.Diag[i] += g[axis]
+		m.Diag[j] += g[axis]
+	})
+	for i := range m.Diag {
+		l, iy, ix := i/nxy, (i%nxy)/nx, i%nx
 		if l == 0 {
-			d += gamb
+			m.Diag[i] += gamb
 		}
 		if ix == 0 || ix == nx-1 || iy == 0 || iy == ny-1 {
-			d += gamb * 0.01
+			m.Diag[i] += gamb * 0.01
 		}
-		m.Diag[i] = d
 	}
 }
 
-func refreshedMG(t *testing.T, m *SymCSR, nx, ny, nl int, opt MGOptions) *MG {
+func refreshedMG(t *testing.T, m *Stencil7, opt MGOptions) *MG {
 	t.Helper()
-	mg, err := NewMG(m, nx, ny, nl, opt)
+	mg, err := NewMG(m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +49,12 @@ func refreshedMG(t *testing.T, m *SymCSR, nx, ny, nl int, opt MGOptions) *MG {
 func TestMGApplyIsSymmetric(t *testing.T) {
 	nx, ny, nl := 5, 4, 3
 	m := NewStencil7(nx, ny, nl)
-	fillThermalLike(m, nx, ny, nl)
-	mg := refreshedMG(t, m, nx, ny, nl, MGOptions{CoarsestN: 8})
+	fillThermalLike(m)
+	mg := refreshedMG(t, m, MGOptions{CoarsestN: 8})
 	if mg.Levels() < 2 {
 		t.Fatalf("want a multi-level hierarchy, got %d levels", mg.Levels())
 	}
-	n := m.N
+	n := m.N()
 	b := make([][]float64, n)
 	e := make([]float64, n)
 	for j := 0; j < n; j++ {
@@ -102,19 +91,19 @@ func TestMGApplyIsSymmetric(t *testing.T) {
 func TestMGPCGMatchesJacobiPCG(t *testing.T) {
 	nx, ny, nl := 40, 40, 9
 	m := NewStencil7(nx, ny, nl)
-	fillThermalLike(m, nx, ny, nl)
+	fillThermalLike(m)
 	rng := rand.New(rand.NewSource(7))
-	b := make([]float64, m.N)
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = rng.Float64() * 1e-3
 	}
-	xj := make([]float64, m.N)
+	xj := make([]float64, m.N())
 	ij, _, err := NewCG(m, CGOptions{Tolerance: 1e-11, Workers: 1}).Solve(b, xj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mg := refreshedMG(t, m, nx, ny, nl, MGOptions{})
-	xm := make([]float64, m.N)
+	mg := refreshedMG(t, m, MGOptions{})
+	xm := make([]float64, m.N())
 	im, res, err := NewCG(m, CGOptions{Tolerance: 1e-11, Workers: 1, Precond: mg}).Solve(b, xm)
 	if err != nil {
 		t.Fatal(err)
@@ -150,13 +139,13 @@ func TestMGIterationCountGridIndependent(t *testing.T) {
 	prev := 0
 	for _, n := range []int{40, 80, 160} {
 		m := NewStencil7(n, n, 9)
-		fillThermalLike(m, n, n, 9)
-		b := make([]float64, m.N)
+		fillThermalLike(m)
+		b := make([]float64, m.N())
 		for i := range b {
 			b[i] = 1e-4
 		}
-		mg := refreshedMG(t, m, n, n, 9, MGOptions{})
-		x := make([]float64, m.N)
+		mg := refreshedMG(t, m, MGOptions{})
+		x := make([]float64, m.N())
 		iters, _, err := NewCG(m, CGOptions{Tolerance: 1e-9, Workers: 1, Precond: mg}).Solve(b, x)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -178,27 +167,22 @@ func TestMGIterationCountGridIndependent(t *testing.T) {
 func TestMGRefreshTracksValueChanges(t *testing.T) {
 	nx, ny, nl := 12, 12, 5
 	m := NewStencil7(nx, ny, nl)
-	fillThermalLike(m, nx, ny, nl)
-	mg := refreshedMG(t, m, nx, ny, nl, MGOptions{CoarsestN: 64})
-	b := make([]float64, m.N)
+	fillThermalLike(m)
+	mg := refreshedMG(t, m, MGOptions{CoarsestN: 64})
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = float64(i%5) * 1e-4
 	}
-	x1 := make([]float64, m.N)
+	x1 := make([]float64, m.N())
 	c := NewCG(m, CGOptions{Tolerance: 1e-12, Workers: 1, Precond: mg})
 	if _, _, err := c.Solve(b, x1); err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.Val {
-		m.Val[i] *= 2
-	}
-	for i := range m.Diag {
-		m.Diag[i] *= 2
-	}
+	scale(m, 2)
 	if err := mg.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	x2 := make([]float64, m.N)
+	x2 := make([]float64, m.N())
 	if _, _, err := c.Solve(b, x2); err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +196,9 @@ func TestMGRefreshTracksValueChanges(t *testing.T) {
 
 func TestMGRejectsDimensionMismatch(t *testing.T) {
 	m := NewStencil7(4, 4, 2)
-	if _, err := NewMG(m, 5, 4, 2, MGOptions{}); err == nil {
-		t.Fatal("mismatched grid dimensions must be rejected")
-	}
-	if _, err := NewMG(m, 4, 4, 2, MGOptions{PreSmooth: 1, PostSmooth: 2}); err == nil {
-		t.Fatal("unequal pre/post smoothing (an asymmetric cycle) must be rejected")
+	m.NX = 5
+	if _, err := NewMG(m, MGOptions{}); err == nil {
+		t.Fatal("grid dimensions that do not match the arrays must be rejected")
 	}
 }
 
@@ -226,14 +208,14 @@ func TestMGRejectsDimensionMismatch(t *testing.T) {
 func TestMGSingleLevelIsDirect(t *testing.T) {
 	nx, ny, nl := 4, 4, 3
 	m := NewStencil7(nx, ny, nl)
-	fillThermalLike(m, nx, ny, nl)
-	mg := refreshedMG(t, m, nx, ny, nl, MGOptions{})
+	fillThermalLike(m)
+	mg := refreshedMG(t, m, MGOptions{})
 	if mg.Levels() != 1 {
 		t.Fatalf("48 unknowns should be a single direct level, got %d levels", mg.Levels())
 	}
-	b := make([]float64, m.N)
+	b := make([]float64, m.N())
 	b[5] = 1e-3
-	x := make([]float64, m.N)
+	x := make([]float64, m.N())
 	iters, _, err := NewCG(m, CGOptions{Tolerance: 1e-10, Workers: 1, Precond: mg}).Solve(b, x)
 	if err != nil {
 		t.Fatal(err)
@@ -248,17 +230,17 @@ func TestMGSingleLevelIsDirect(t *testing.T) {
 // still solves (serially).
 func TestCGPersistentPoolReuse(t *testing.T) {
 	m := laplacian2D(40, 40)
-	b := make([]float64, m.N)
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = float64(i%11) - 5
 	}
-	ref := make([]float64, m.N)
+	ref := make([]float64, m.N())
 	if _, _, err := NewCG(m, CGOptions{Workers: 1, Tolerance: 1e-11}).Solve(b, ref); err != nil {
 		t.Fatal(err)
 	}
 	c := NewCG(m, CGOptions{Workers: 3, Tolerance: 1e-11})
 	for round := 0; round < 3; round++ {
-		x := make([]float64, m.N)
+		x := make([]float64, m.N())
 		if _, _, err := c.Solve(b, x); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -270,7 +252,7 @@ func TestCGPersistentPoolReuse(t *testing.T) {
 	}
 	c.Close()
 	c.Close() // idempotent
-	x := make([]float64, m.N)
+	x := make([]float64, m.N())
 	if _, _, err := c.Solve(b, x); err != nil {
 		t.Fatalf("solve after Close: %v", err)
 	}
@@ -289,23 +271,23 @@ func TestCGPersistentPoolReuse(t *testing.T) {
 func TestMGPooledSmootherBitIdentical(t *testing.T) {
 	nx, ny, nl := 40, 40, 9 // 14400 rows: enough for a 3-way fine-level split
 	m := NewStencil7(nx, ny, nl)
-	fillThermalLike(m, nx, ny, nl)
-	serial := refreshedMG(t, m, nx, ny, nl, MGOptions{})
+	fillThermalLike(m)
+	serial := refreshedMG(t, m, MGOptions{})
 
 	pool := NewPool(3)
 	defer pool.Close()
-	pooled := refreshedMG(t, m, nx, ny, nl, MGOptions{Pool: pool})
+	pooled := refreshedMG(t, m, MGOptions{Pool: pool})
 	if pooled.levels[0].kw < 2 {
 		t.Fatalf("fine level not pooled (kw=%d); test needs a parallel smoother", pooled.levels[0].kw)
 	}
 
 	rng := rand.New(rand.NewSource(11))
-	r := make([]float64, m.N)
+	r := make([]float64, m.N())
 	for i := range r {
 		r[i] = rng.Float64() - 0.5
 	}
-	zs := make([]float64, m.N)
-	zp := make([]float64, m.N)
+	zs := make([]float64, m.N())
+	zp := make([]float64, m.N())
 	serial.Apply(r, zs)
 	pooled.Apply(r, zp)
 	for i := range zs {
@@ -316,14 +298,14 @@ func TestMGPooledSmootherBitIdentical(t *testing.T) {
 
 	// The full preconditioned solve must also be bit-identical when CG and
 	// MG share the pool.
-	b := make([]float64, m.N)
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = rng.Float64() * 1e-3
 	}
 	solve := func(mg *MG, p *Pool) []float64 {
 		cg := NewCG(m, CGOptions{Precond: mg, Pool: p, Workers: 3})
 		defer cg.Close()
-		x := make([]float64, m.N)
+		x := make([]float64, m.N())
 		if _, _, err := cg.Solve(b, x); err != nil {
 			t.Fatal(err)
 		}

@@ -7,82 +7,68 @@ import (
 )
 
 // laplacian1D builds the classic tridiagonal SPD matrix (2 on the diagonal,
-// -1 off) with Dirichlet ends.
-func laplacian1D(n int) *SymCSR {
-	nnz := 2*n - 2
-	m := NewSymCSR(n, nnz)
-	k := int32(0)
-	for i := 0; i < n; i++ {
-		m.RowPtr[i] = k
+// -1 off) with Dirichlet ends: a stencil with NY = NL = 1.
+func laplacian1D(n int) *Stencil7 {
+	m := NewStencil7(n, 1, 1)
+	for i := range m.Diag {
 		m.Diag[i] = 2
 		if i > 0 {
-			m.Col[k], m.Val[k] = int32(i-1), -1
-			k++
-		}
-		if i+1 < n {
-			m.Col[k], m.Val[k] = int32(i+1), -1
-			k++
+			m.X[i] = -1
 		}
 	}
-	m.RowPtr[n] = k
 	return m
 }
 
 // laplacian2D builds the 5-point SPD grid Laplacian on an nx-by-ny grid with
 // a small diagonal shift (every node weakly tied to a reference), mirroring
 // the structure of the thermal system.
-func laplacian2D(nx, ny int) *SymCSR {
-	n := nx * ny
-	deg := 0
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			if ix > 0 {
-				deg++
-			}
-			if ix+1 < nx {
-				deg++
-			}
-			if iy > 0 {
-				deg++
-			}
-			if iy+1 < ny {
-				deg++
-			}
-		}
+func laplacian2D(nx, ny int) *Stencil7 {
+	m := NewStencil7(nx, ny, 1)
+	setLinks(m, -1)
+	for i := range m.Diag {
+		m.Diag[i] = 0.01 // tie to reference keeps the matrix non-singular
 	}
-	m := NewSymCSR(n, deg)
-	k := int32(0)
-	for iy := 0; iy < ny; iy++ {
-		for ix := 0; ix < nx; ix++ {
-			i := iy*nx + ix
-			m.RowPtr[i] = k
-			d := 0.01 // tie to reference keeps the matrix non-singular
-			add := func(j int) {
-				m.Col[k], m.Val[k] = int32(j), -1
-				k++
-				d++
-			}
-			if iy > 0 {
-				add(i - nx)
-			}
-			if ix > 0 {
-				add(i - 1)
-			}
-			if ix+1 < nx {
-				add(i + 1)
-			}
-			if iy+1 < ny {
-				add(i + nx)
-			}
-			m.Diag[i] = d
-		}
-	}
-	m.RowPtr[n] = k
+	eachLink(m, func(i, j, _ int, _ *float64) {
+		m.Diag[i]++
+		m.Diag[j]++
+	})
 	return m
 }
 
-func residualNorm(m *SymCSR, b, x []float64) float64 {
-	r := make([]float64, m.N)
+// setLinks sets every link of m to v.
+func setLinks(m *Stencil7, v float64) {
+	eachLink(m, func(_, _, _ int, p *float64) { *p = v })
+}
+
+// eachLink calls fn for every stored lower link (i, j), j < i, with its
+// axis (0 = z, 1 = y, 2 = x) and a pointer to its value, in row order and
+// stencil order within a row.
+func eachLink(m *Stencil7, fn func(i, j, axis int, v *float64)) {
+	nx, nxy := m.NX, m.NX*m.NY
+	for i := range m.Diag {
+		if i/nxy > 0 {
+			fn(i, i-nxy, 0, &m.Z[i])
+		}
+		if (i/nx)%m.NY > 0 {
+			fn(i, i-nx, 1, &m.Y[i])
+		}
+		if i%nx > 0 {
+			fn(i, i-1, 2, &m.X[i])
+		}
+	}
+}
+
+// scale multiplies every matrix entry by f.
+func scale(m *Stencil7, f float64) {
+	for _, a := range [][]float64{m.Diag, m.Z, m.Y, m.X} {
+		for i := range a {
+			a[i] *= f
+		}
+	}
+}
+
+func residualNorm(m *Stencil7, b, x []float64) float64 {
+	r := make([]float64, m.N())
 	m.MatVec(x, r)
 	s, bs := 0.0, 0.0
 	for i := range r {
@@ -124,11 +110,11 @@ func TestCGSolvesTridiagonal(t *testing.T) {
 func TestCGParallelMatchesSerial(t *testing.T) {
 	m := laplacian2D(40, 40)
 	rng := rand.New(rand.NewSource(7))
-	b := make([]float64, m.N)
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = rng.Float64()
 	}
-	xs := make([]float64, m.N)
+	xs := make([]float64, m.N())
 	if _, _, err := NewCG(m, CGOptions{Workers: 1, Tolerance: 1e-11}).Solve(b, xs); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +123,7 @@ func TestCGParallelMatchesSerial(t *testing.T) {
 		if c.Workers() != workers {
 			t.Fatalf("explicit worker request %d not honored, got %d", workers, c.Workers())
 		}
-		xp := make([]float64, m.N)
+		xp := make([]float64, m.N())
 		if _, _, err := c.Solve(b, xp); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -151,18 +137,18 @@ func TestCGParallelMatchesSerial(t *testing.T) {
 
 func TestCGWarmStartConvergesFaster(t *testing.T) {
 	m := laplacian2D(30, 30)
-	b := make([]float64, m.N)
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = 1
 	}
 	c := NewCG(m, CGOptions{Workers: 1})
-	cold := make([]float64, m.N)
+	cold := make([]float64, m.N())
 	coldIters, _, err := c.Solve(b, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm start from the exact solution: must converge immediately.
-	again := make([]float64, m.N)
+	again := make([]float64, m.N())
 	copy(again, cold)
 	warmIters, res, err := c.Solve(b, again)
 	if err != nil {
@@ -175,11 +161,11 @@ func TestCGWarmStartConvergesFaster(t *testing.T) {
 		t.Fatalf("warm-start residual %g", res)
 	}
 	// Warm start from a nearby RHS's solution: must beat the cold count.
-	b2 := make([]float64, m.N)
+	b2 := make([]float64, m.N())
 	for i := range b2 {
 		b2[i] = 1.05
 	}
-	near := make([]float64, m.N)
+	near := make([]float64, m.N())
 	copy(near, cold)
 	nearIters, _, err := c.Solve(b2, near)
 	if err != nil {
@@ -227,11 +213,11 @@ func TestCGNotPositiveDefinite(t *testing.T) {
 
 func TestCGMaxIterations(t *testing.T) {
 	m := laplacian2D(20, 20)
-	b := make([]float64, m.N)
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = float64(i % 7)
 	}
-	_, _, err := NewCG(m, CGOptions{MaxIterations: 2, Tolerance: 1e-14}).Solve(b, make([]float64, m.N))
+	_, _, err := NewCG(m, CGOptions{MaxIterations: 2, Tolerance: 1e-14}).Solve(b, make([]float64, m.N()))
 	if err == nil {
 		t.Fatal("unreachable tolerance within 2 iterations must error")
 	}
@@ -242,21 +228,16 @@ func TestCGReuseAfterMatrixValueChange(t *testing.T) {
 	// geometry changes; the bound CG must pick the new values up.
 	m := laplacian2D(15, 15)
 	c := NewCG(m, CGOptions{Workers: 1})
-	b := make([]float64, m.N)
+	b := make([]float64, m.N())
 	for i := range b {
 		b[i] = 1
 	}
-	x1 := make([]float64, m.N)
+	x1 := make([]float64, m.N())
 	if _, _, err := c.Solve(b, x1); err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.Diag {
-		m.Diag[i] *= 2
-	}
-	for i := range m.Val {
-		m.Val[i] *= 2
-	}
-	x2 := make([]float64, m.N)
+	scale(m, 2)
+	x2 := make([]float64, m.N())
 	copy(x2, x1) // warm start from the old solution
 	if _, _, err := c.Solve(b, x2); err != nil {
 		t.Fatal(err)

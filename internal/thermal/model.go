@@ -94,7 +94,7 @@ type Config struct {
 }
 
 // FastPath reports whether the configuration is served by the
-// structured-grid CSR solver instead of the SPICE-circuit path. The
+// structured-grid stencil solver instead of the SPICE-circuit path. The
 // Gauss-Seidel and dense oracle methods always go through package spice.
 func (cfg Config) FastPath() bool { return !cfg.UseSpice && cfg.Solver == spice.MethodCG }
 
@@ -354,10 +354,10 @@ func BuildNetwork(powerMap *geom.Grid, cfg Config) (*spice.Circuit, error) {
 // and collect the per-layer temperature maps and summary metrics.
 //
 // The default route is the structured-grid fast path (see Solver), which
-// assembles integer-indexed CSR directly from the configuration. Callers
-// that solve repeatedly should hold a Solver themselves to also reuse the
-// assembled structure and warm-start between solves; this function builds a
-// fresh one per call. The legacy SPICE-circuit path serves as the oracle
+// assembles an integer-indexed stencil matrix directly from the
+// configuration. Callers that solve repeatedly should hold a Solver
+// themselves to also reuse the assembled structure and warm-start between
+// solves; this function builds a fresh one per call. The legacy SPICE-circuit path serves as the oracle
 // when cfg.UseSpice is set or a non-CG method is selected.
 func Solve(powerMap *geom.Grid, cfg Config) (*Result, error) {
 	return SolveCtx(context.Background(), powerMap, cfg)

@@ -12,9 +12,9 @@ import (
 )
 
 // Solver is the structured-grid fast path: the steady-state thermal system
-// of a (NX x NY x layers) grid assembled directly into an integer-indexed
-// CSR matrix, with no string node names, no netlist and no maps anywhere on
-// the solve path.
+// of a (NX x NY x layers) grid assembled directly into a 7-point stencil
+// matrix (sparse.Stencil7), with no string node names, no netlist and no
+// maps anywhere on the solve path.
 //
 // A Solver is built once per grid topology and reused across analyses: a
 // new power map only refreshes the right-hand side, and a new die region
@@ -39,7 +39,7 @@ type Solver struct {
 	// triggers a value refresh.
 	cellW, cellH float64
 
-	mat  *sparse.SymCSR
+	mat  *sparse.Stencil7
 	cg   *sparse.CG
 	pool *sparse.Pool
 	// mg is the multigrid preconditioner (nil with PrecondJacobi); its
@@ -77,7 +77,7 @@ type Solver struct {
 // reporting ErrNotConverged.
 const raisedBudgetFactor = 4
 
-// NewSolver validates the configuration and builds the sparsity pattern and
+// NewSolver validates the configuration and allocates the matrix and
 // the multigrid hierarchy (unless PrecondJacobi is selected). Matrix values
 // are filled on the first Solve, when the die region (and so the cell size)
 // is known.
@@ -111,7 +111,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 		Pool:          s.pool,
 	}
 	if cfg.Precond != PrecondJacobi {
-		mg, err := sparse.NewMG(s.mat, s.nx, s.ny, s.nl, sparse.MGOptions{Pool: s.pool})
+		mg, err := sparse.NewMG(s.mat, sparse.MGOptions{Pool: s.pool})
 		if err != nil {
 			s.pool.Close()
 			return nil, fmt.Errorf("thermal: building multigrid hierarchy: %w", err)
@@ -155,11 +155,6 @@ func (s *Solver) fillValues(cellW, cellH float64) {
 	cellArea := dx * dy
 	cfg := &s.cfg
 
-	for i := range s.mat.Diag {
-		s.mat.Diag[i] = 0
-		s.ambRHS[i] = 0
-	}
-
 	// Per-layer lateral conductances and per-interface vertical
 	// conductances.
 	gLatX := make([]float64, s.nl)
@@ -177,7 +172,7 @@ func (s *Solver) fillValues(cellW, cellH float64) {
 		}
 	}
 
-	k := 0 // running off-diagonal cursor, in pattern order
+	m := s.mat
 	for l, layer := range cfg.Stack {
 		dz := layer.Thickness * metersPerUm
 		kc := layer.Conductivity
@@ -198,37 +193,29 @@ func (s *Solver) fillValues(cellW, cellH float64) {
 			for ix := 0; ix < s.nx; ix++ {
 				i := s.index(l, ix, iy)
 				diag := 0.0
-				// Off-diagonals in pattern order: z-1, y-1, x-1, x+1,
-				// y+1, z+1.
+				// Links in stencil order: z-1, y-1, x-1, x+1, y+1,
+				// z+1. Only the lower three are stored; an upper link is
+				// its neighbour's lower one.
 				if l > 0 {
-					s.mat.Val[k] = -gVert[l-1]
+					m.Z[i] = -gVert[l-1]
 					diag += gVert[l-1]
-					k++
 				}
 				if iy > 0 {
-					s.mat.Val[k] = -gLatY[l]
+					m.Y[i] = -gLatY[l]
 					diag += gLatY[l]
-					k++
 				}
 				if ix > 0 {
-					s.mat.Val[k] = -gLatX[l]
+					m.X[i] = -gLatX[l]
 					diag += gLatX[l]
-					k++
 				}
 				if ix+1 < s.nx {
-					s.mat.Val[k] = -gLatX[l]
 					diag += gLatX[l]
-					k++
 				}
 				if iy+1 < s.ny {
-					s.mat.Val[k] = -gLatY[l]
 					diag += gLatY[l]
-					k++
 				}
 				if l+1 < s.nl {
-					s.mat.Val[k] = -gVert[l]
 					diag += gVert[l]
-					k++
 				}
 				// Ambient boundaries add to the diagonal and to the
 				// constant RHS part.
@@ -245,7 +232,7 @@ func (s *Solver) fillValues(cellW, cellH float64) {
 				if iy == 0 || iy == s.ny-1 {
 					gAmb += gSideY
 				}
-				s.mat.Diag[i] = diag + gAmb
+				m.Diag[i] = diag + gAmb
 				s.ambRHS[i] = gAmb * cfg.AmbientC
 			}
 		}
