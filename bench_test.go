@@ -559,8 +559,8 @@ func BenchmarkThermalSolve40x40x9(b *testing.B) {
 // legacy SPICE-circuit path against the structured-grid fast path — with
 // its default multigrid preconditioner ("fast") and the Jacobi fallback
 // ("fast-jacobi") — both cold (fresh solver per solve, the "first sweep
-// point" cost) and reused (warm-started re-solve, the steady-state sweep
-// cost, multigrid). Each sub-benchmark
+// point" cost) and reused (warm-started re-solve of a moved hotspot, the
+// steady-state sweep cost, multigrid). Each sub-benchmark
 // reports ns/solve and allocs/solve via b.ReportMetric so future PRs have a
 // perf trajectory to track. Run with -benchtime 1x for a quick look: the
 // spice path at 160x160x9 (230k nodes) takes seconds per solve.
@@ -571,13 +571,18 @@ func BenchmarkThermalSolveGrid(b *testing.B) {
 		// Keep the cell size at the paper's ~9 um by scaling the die with
 		// the grid, and keep total power fixed.
 		region := geom.Rect{Xlo: 0, Ylo: 0, Xhi: 9 * float64(n), Yhi: 9 * float64(n)}
-		pm := geom.NewGrid(n, n, region)
-		pm.Fill(0.015 / float64(n*n))
-		for iy := n / 5; iy < n/5+n/8; iy++ {
-			for ix := n / 5; ix < n/5+n/8; ix++ {
-				pm.Add(ix, iy, 0.010/float64(n/8*n/8))
+		// hotMap places the hot block's lower-left corner at (at, at).
+		hotMap := func(at int) *geom.Grid {
+			pm := geom.NewGrid(n, n, region)
+			pm.Fill(0.015 / float64(n*n))
+			for iy := at; iy < at+n/8; iy++ {
+				for ix := at; ix < at+n/8; ix++ {
+					pm.Add(ix, iy, 0.010/float64(n/8*n/8))
+				}
 			}
+			return pm
 		}
+		pm := hotMap(n / 5)
 		solveOnce := func(b *testing.B, solve func() error) {
 			b.Helper()
 			b.ReportAllocs() // the allocs/op column is allocs/solve: one solve per op
@@ -612,7 +617,13 @@ func BenchmarkThermalSolveGrid(b *testing.B) {
 			if _, err := s.Solve(pm); err != nil { // prime structure + warm start
 				b.Fatal(err)
 			}
-			solveOnce(b, func() error { _, err := s.Solve(pm); return err })
+			// Alternate between two power maps whose hot block sits apart,
+			// so every re-solve iterates from the other map's field, as a
+			// sweep point iterates from its parent's; re-solving one map
+			// would start at its own solution and stop after the residual.
+			pms := [2]*geom.Grid{hotMap(n / 2), pm}
+			k := 0
+			solveOnce(b, func() error { _, err := s.Solve(pms[k%2]); k++; return err })
 		})
 	}
 }

@@ -9,9 +9,10 @@ import (
 
 // BareGo forbids raw `go` statements in the numeric-core packages. The
 // pipeline's concurrency runs on exactly two primitives — sparse.Pool
-// (parked, panic-containing solver workers) and core's runTasks (bounded
-// sweep group with sibling cancellation and lowest-index error selection)
-// — and the leak/robustness suites assert their guarantees: a contained
+// (parked, panic-containing solver workers) and taskgroup.Run (a bounded
+// task group with sibling cancellation and lowest-index error selection,
+// shared by core's sweep points and flow's two analysis lanes) — and the
+// leak/robustness suites assert their guarantees: a contained
 // panic instead of a crash, zero goroutines left behind after Close, and
 // deterministic error selection. A goroutine spawned outside them has none
 // of that coverage. The primitives' own spawn sites carry
@@ -20,7 +21,7 @@ import (
 var BareGo = &analysis.Analyzer{
 	Name: "bareGo",
 	Doc: "forbid raw go statements in the numeric core; concurrency must run on " +
-		"sparse.Pool or core's runTasks, which own panic containment and leak accounting",
+		"sparse.Pool or taskgroup.Run, which own panic containment and leak accounting",
 	Run: runBareGo,
 }
 
@@ -29,9 +30,12 @@ var BareGo = &analysis.Analyzer{
 // corePackages and the clock-hostile nondeterminism analyzer leaves it alone
 // — but its drain contract ("zero goroutines after Close, every in-flight
 // request tracked") depends on no goroutine existing outside the tracked
-// request path, so raw spawns are forbidden there too.
+// request path, so raw spawns are forbidden there too. The task-group
+// primitive (internal/taskgroup) is in scope so that its single spawn site
+// stays an annotated, audited exception rather than an unchecked package.
 var bareGoPackages = map[string]bool{
-	"serve": true,
+	"serve":     true,
+	"taskgroup": true,
 }
 
 func inBareGoPackage(path string) bool {
@@ -54,7 +58,7 @@ func runBareGo(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(),
-					"raw goroutine in the numeric core bypasses sparse.Pool/runTasks panic containment and leak accounting; run the work on one of those primitives")
+					"raw goroutine in the numeric core bypasses sparse.Pool/taskgroup.Run panic containment and leak accounting; run the work on one of those primitives")
 			}
 			return true
 		})

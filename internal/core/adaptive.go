@@ -14,6 +14,7 @@ import (
 	"thermplace/internal/hotspot"
 	"thermplace/internal/netlist"
 	"thermplace/internal/place"
+	"thermplace/internal/taskgroup"
 	"thermplace/internal/thermal"
 )
 
@@ -561,7 +562,7 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 			return nil
 		})
 	}
-	if err := runTasks(ctx, estTasks, opts.Workers); err != nil {
+	if err := taskgroup.Run(ctx, estTasks, opts.Workers); err != nil {
 		return nil, err
 	}
 
@@ -832,7 +833,7 @@ func sweepAdaptive(ctx context.Context, f *flow.Flow, opts SweepOptions) (*Sweep
 			return measureERI(tctx, c)
 		})
 	}
-	if err := runTasks(ctx, exactTasks, opts.Workers); err != nil {
+	if err := taskgroup.Run(ctx, exactTasks, opts.Workers); err != nil {
 		return nil, err
 	}
 	stats.ExactSolves = int(exactSolves.Load())

@@ -2,17 +2,14 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"thermplace/internal/fault"
 	"thermplace/internal/flow"
 	"thermplace/internal/hotspot"
 	"thermplace/internal/netlist"
 	"thermplace/internal/place"
+	"thermplace/internal/taskgroup"
 )
 
 // EfficiencyPoint is one point of the paper's Figure 6: a strategy applied
@@ -479,7 +476,7 @@ func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*
 		})
 	}
 
-	if err := runTasks(ctx, tasks, opts.Workers); err != nil {
+	if err := taskgroup.Run(ctx, tasks, opts.Workers); err != nil {
 		return nil, err
 	}
 
@@ -501,106 +498,6 @@ func SweepEfficiencyCtx(ctx context.Context, f *flow.Flow, opts SweepOptions) (*
 		}
 	}
 	return result, nil
-}
-
-// runTasks executes the tasks on a bounded worker group. workers <= 0 picks
-// GOMAXPROCS; workers == 1 runs the tasks inline in order.
-//
-// A failed task aborts the rest of the group: tasks that have not started
-// yet are skipped, and the in-flight siblings are canceled through the
-// derived context every task receives (each task checks it inside its
-// thermal solve, so a long-running sibling aborts within milliseconds
-// instead of running to completion). The lowest-index genuine error among
-// the tasks that ran is returned; a sibling that merely reports the
-// abort-cancellation never masks the failure that triggered it, even when it
-// ran at a lower index. An external cancellation of ctx aborts the same way
-// and surfaces as an error matching fault.ErrCanceled.
-//
-// A panic inside a task is contained as a located *fault.ErrPanic and
-// treated exactly like any other task error — the sweep caller gets an
-// error, not a crash, and no worker goroutine is lost.
-func runTasks(ctx context.Context, tasks []func(context.Context) error, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	tctx, tcancel := context.WithCancel(ctx)
-	defer tcancel()
-	if workers <= 1 {
-		for i, t := range tasks {
-			if cerr := ctx.Err(); cerr != nil {
-				return fmt.Errorf("core: sweep: %w", fault.Canceled(cerr))
-			}
-			if err := runOneTask(tctx, i, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(tasks))
-	var failed atomic.Bool
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		//repolint:allow bareGo(runTasks is itself the sweep concurrency primitive the rule points to)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				if failed.Load() {
-					continue
-				}
-				if err := runOneTask(tctx, idx, tasks[idx]); err != nil {
-					errs[idx] = err
-					failed.Store(true)
-					tcancel() // abort the in-flight siblings
-				}
-			}
-		}()
-	}
-	for i := range tasks {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	// Prefer the lowest-index error that is not itself the
-	// abort-cancellation: with workers > 1, a sibling at a lower index may
-	// legitimately fail with ErrCanceled as a *consequence* of the real
-	// failure, and returning it would hide the cause.
-	var canceled error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, fault.ErrCanceled) {
-			if canceled == nil {
-				canceled = err
-			}
-			continue
-		}
-		return err
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		// The caller's context fired: every error above (if any) is the
-		// cancellation itself.
-		return fmt.Errorf("core: sweep: %w", fault.Canceled(cerr))
-	}
-	return canceled
-}
-
-// runOneTask runs one sweep task, containing a panic as a located typed
-// error so a crashing point cannot take down the worker group.
-func runOneTask(ctx context.Context, idx int, task func(context.Context) error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("core: sweep task %d: %w", idx,
-				fault.Recovered(fmt.Sprintf("core sweep task %d", idx), v))
-		}
-	}()
-	return task(ctx)
 }
 
 // ConcentratedRow is one row of the paper's Table I.

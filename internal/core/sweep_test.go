@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"thermplace/internal/bench"
@@ -13,72 +10,6 @@ import (
 	"thermplace/internal/flow"
 	"thermplace/internal/netlist"
 )
-
-// TestRunTasksErrorSelection pins the error contract of the sweep's worker
-// group: the lowest-index error among the tasks that ran is returned.
-func TestRunTasksErrorSelection(t *testing.T) {
-	sentinel := errors.New("task 2 failed")
-	for _, workers := range []int{1, 3, 16} {
-		tasks := make([]func(context.Context) error, 6)
-		for i := range tasks {
-			i := i
-			tasks[i] = func(context.Context) error {
-				if i == 2 {
-					return sentinel
-				}
-				return nil
-			}
-		}
-		if err := runTasks(context.Background(), tasks, workers); !errors.Is(err, sentinel) {
-			t.Fatalf("workers=%d: got %v, want the single failing task's error", workers, err)
-		}
-	}
-
-	// With several failing tasks, Workers=1 deterministically surfaces the
-	// first; concurrent runs may skip later tasks after the first failure
-	// but must still return one of the injected errors.
-	e1, e3 := errors.New("t1"), errors.New("t3")
-	mkTasks := func() []func(context.Context) error {
-		tasks := make([]func(context.Context) error, 5)
-		for i := range tasks {
-			i := i
-			tasks[i] = func(context.Context) error {
-				switch i {
-				case 1:
-					return e1
-				case 3:
-					return e3
-				}
-				return nil
-			}
-		}
-		return tasks
-	}
-	if err := runTasks(context.Background(), mkTasks(), 1); !errors.Is(err, e1) {
-		t.Fatalf("sequential run must return the first error, got %v", err)
-	}
-	if err := runTasks(context.Background(), mkTasks(), 4); !errors.Is(err, e1) && !errors.Is(err, e3) {
-		t.Fatalf("concurrent run returned an unexpected error: %v", err)
-	}
-}
-
-// TestRunTasksWorkerClamping checks that worker counts beyond the task
-// count (and non-positive counts) still run every task exactly once.
-func TestRunTasksWorkerClamping(t *testing.T) {
-	for _, workers := range []int{-3, 0, 1, 2, 64} {
-		var ran atomic.Int32
-		tasks := make([]func(context.Context) error, 3)
-		for i := range tasks {
-			tasks[i] = func(context.Context) error { ran.Add(1); return nil }
-		}
-		if err := runTasks(context.Background(), tasks, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := ran.Load(); got != 3 {
-			t.Fatalf("workers=%d: ran %d of 3 tasks", workers, got)
-		}
-	}
-}
 
 // comparePoints requires two sweep results to be exactly identical: same
 // point identities in order and bit-identical floats.

@@ -96,7 +96,7 @@ func (e *ErrSetup) Unwrap() error { return e.Err }
 // killing the process.
 type ErrPanic struct {
 	// Where locates the recovery site, e.g. "sparse.Pool worker 3" or
-	// "core: sweep task 2".
+	// "taskgroup task 2".
 	Where string
 	// Value is the value the code panicked with.
 	Value any

@@ -24,6 +24,7 @@ import (
 	"thermplace/internal/netlist"
 	"thermplace/internal/place"
 	"thermplace/internal/power"
+	"thermplace/internal/taskgroup"
 	"thermplace/internal/thermal"
 	"thermplace/internal/timing"
 )
@@ -528,7 +529,8 @@ type Analysis struct {
 	// it.
 	Congestion *congestion.Report
 	// HPWL is the total half-perimeter wirelength of the placement in um
-	// (zero when Config.CoAnalysis is off).
+	// (zero when Config.CoAnalysis is off): Congestion.TotalWirelength,
+	// which equals Placement.TotalHPWL bit for bit.
 	HPWL float64
 
 	// state is the full solved temperature field (solver node order,
@@ -611,11 +613,17 @@ type AnalyzeOptions struct {
 // Analyze runs power estimation and thermal simulation on the placement and
 // localizes the hotspots of the resulting thermal map.
 //
-// Analyze is safe for concurrent use with one caveat: the power estimate
-// fills the placement's lazy net-bounding-box cache, so a *Placement may
-// only be shared between concurrent Analyze calls if it has already been
-// analyzed once (which warms the cache — the baseline in a sweep is exactly
-// that case). Distinct placements need no coordination.
+// Analyze is safe for concurrent use with one caveat: the analysis fills
+// the placement's lazy net-bounding-box cache, so a *Placement may only be
+// shared between concurrent Analyze calls if it has already been analyzed
+// once (which warms the cache — the baseline in a sweep is exactly that
+// case). Distinct placements need no coordination.
+//
+// With the co-analysis on, each analysis runs as two lanes joined before it
+// returns: the power → thermal → hotspot → timing chain, and beside it the
+// congestion estimate and wirelength, which need only the placement. Both
+// only read what they share, so the result is the same on any number of
+// cores; on a GOMAXPROCS=1 host they run one after the other.
 func (f *Flow) Analyze(p *place.Placement) (*Analysis, error) {
 	return f.AnalyzeWithCtx(context.Background(), p, AnalyzeOptions{})
 }
@@ -660,6 +668,50 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, fmt.Errorf("flow: analysis: %w", fault.Canceled(cerr))
 	}
+	// Both lanes below read the placement's lazy net bounding-box cache,
+	// which a miss writes: fill it first, so the lanes only read p.
+	p.WarmNetBBoxes()
+	var an *Analysis
+	lanes := []func(context.Context) error{func(lctx context.Context) error {
+		var err error
+		an, err = f.thermalLane(lctx, p, opts)
+		return err
+	}}
+	var cong *congestion.Report
+	if f.coAnalysisOn(opts) {
+		// The congestion estimate (and with it the wirelength) needs only
+		// the placement, so it runs beside the power → thermal → timing
+		// chain instead of after it.
+		lanes = append(lanes, func(context.Context) error {
+			cong = congestion.Estimate(p, f.Config.Congestion)
+			return nil
+		})
+	}
+	if err := taskgroup.Run(ctx, lanes, 0); err != nil {
+		return nil, err
+	}
+	if cong != nil {
+		// TotalWirelength sums every net's HPWL in net order from +0, the
+		// nets it skips adding +0, so it is bitwise TotalHPWL.
+		an.Congestion, an.HPWL = cong, cong.TotalWirelength
+	}
+	return an, nil
+}
+
+// coAnalysisOn reports whether an analysis with these options carries the
+// timing/congestion co-analysis (Config.CoAnalysis). Low-fidelity analyses
+// skip it: triage only consumes area and peak rise, and STA/congestion
+// would dominate the cost of a coarse solve.
+func (f *Flow) coAnalysisOn(opts AnalyzeOptions) bool {
+	return f.Config.CoAnalysis && opts.CoarseFactor < 2
+}
+
+// thermalLane is the dependent chain of one analysis: power estimate (or
+// delta update) → power map → thermal solve (or the power-delta gate's
+// skip) → hotspot detection → the temperature-derated timing analysis. It
+// returns the analysis without the congestion estimate, which
+// AnalyzeWithCtx runs beside it.
+func (f *Flow) thermalLane(ctx context.Context, p *place.Placement, opts AnalyzeOptions) (*Analysis, error) {
 	est, err := f.estimator()
 	if err != nil {
 		return nil, err
@@ -708,11 +760,8 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		}
 		// The shared thermal field means the child derates against the very
 		// grid the parent's timing was computed on, which is what lets the
-		// co-analysis take the incremental dirty-cone path below.
-		if err := f.coAnalyze(an, opts); err != nil {
-			return nil, err
-		}
-		return an, nil
+		// timing take analyzeTiming's incremental dirty-cone path.
+		return an, f.analyzeTiming(an, opts)
 	}
 
 	var seed *lineageSeed
@@ -733,10 +782,7 @@ func (f *Flow) AnalyzeWithCtx(ctx context.Context, p *place.Placement, opts Anal
 		state:     state,
 		stateID:   stateID,
 	}
-	if err := f.coAnalyze(an, opts); err != nil {
-		return nil, err
-	}
-	return an, nil
+	return an, f.analyzeTiming(an, opts)
 }
 
 // timingAnalyzer returns the cached timing graph of the design, building it
@@ -775,18 +821,15 @@ func (f *Flow) timingOptions(tres *thermal.Result) timing.Options {
 	return topts
 }
 
-// coAnalyze fills the analysis' timing, congestion and wirelength fields
-// (Config.CoAnalysis). Timing takes the incremental dirty-cone path when the
-// lineage parent carries a report computed under identical options —
-// in practice the gate-skip case, where parent and child share the
-// temperature field; everywhere else timing.Analyzer.Update falls back to
-// the full propagation, which is bit-identical to a from-scratch
-// timing.Analyze by construction (same cached graph, same operation order).
-func (f *Flow) coAnalyze(an *Analysis, opts AnalyzeOptions) error {
-	if !f.Config.CoAnalysis || opts.CoarseFactor >= 2 {
-		// Low-fidelity analyses skip the co-analysis entirely: triage only
-		// consumes area and peak rise, and STA/congestion would dominate
-		// the cost of a coarse solve.
+// analyzeTiming fills the analysis' timing report when the co-analysis is
+// on; it ends the thermal lane. Timing takes the incremental dirty-cone path when the lineage parent
+// carries a report computed under identical options — in practice the
+// gate-skip case, where parent and child share the temperature field;
+// everywhere else timing.Analyzer.Update falls back to the full propagation,
+// which is bit-identical to a from-scratch timing.Analyze by construction
+// (same cached graph, same operation order).
+func (f *Flow) analyzeTiming(an *Analysis, opts AnalyzeOptions) error {
+	if !f.coAnalysisOn(opts) {
 		return nil
 	}
 	ta, err := f.timingAnalyzer()
@@ -799,8 +842,6 @@ func (f *Flow) coAnalyze(an *Analysis, opts AnalyzeOptions) error {
 	} else {
 		an.Timing = ta.Analyze(an.Placement, topts)
 	}
-	an.Congestion = congestion.Estimate(an.Placement, f.Config.Congestion)
-	an.HPWL = an.Placement.TotalHPWL()
 	return nil
 }
 

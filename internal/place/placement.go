@@ -412,6 +412,15 @@ func (p *Placement) NetBBox(n *netlist.Net) geom.Rect {
 	return box
 }
 
+// WarmNetBBoxes fills the net bounding-box cache for every net. NetBBox
+// writes the cache on a miss, so concurrent readers of one placement must
+// warm it first; afterwards NetBBox, HPWL and TotalHPWL only read.
+func (p *Placement) WarmNetBBoxes() {
+	for _, n := range p.nets {
+		p.NetBBox(n)
+	}
+}
+
 // computeNetBBox accumulates the net's pin bounding box point by point (no
 // intermediate slice), in the fixed order driver-then-loads so the result is
 // bit-identical across recomputations.

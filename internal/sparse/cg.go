@@ -39,9 +39,11 @@ type CGOptions struct {
 	MaxIterations int
 	// Workers is the number of goroutines used for matrix-vector products
 	// and reductions; an explicit value is honored as given (clamped to the
-	// shared Pool's size when one is supplied). Zero picks GOMAXPROCS,
-	// capped so every worker owns at least minRowsPerWorker rows. 1 runs
-	// everything on the calling goroutine.
+	// shared Pool's size when one is supplied, and to the number of grid
+	// lines). Zero picks AutoWorkers: GOMAXPROCS, capped so every worker
+	// owns at least minRowsPerWorker rows. 1 runs everything on the calling
+	// goroutine. The solution does not depend on it: every reduction is
+	// summed per grid line, and the line sums are added in line order.
 	Workers int
 	// Precond replaces the built-in Jacobi (diagonal) preconditioner. The
 	// multigrid preconditioner in this package (MG) drops the iteration
@@ -54,12 +56,24 @@ type CGOptions struct {
 	Pool *Pool
 }
 
-// minRowsPerWorker keeps the per-iteration synchronization cost well below
-// the arithmetic cost of a worker's row range.
-const minRowsPerWorker = 4096
-
-// padStride spaces the per-worker partial sums one cache line apart.
-const padStride = 8
+// minRowsPerWorker is the fewest rows a pool worker is given, so a system
+// below twice this size solves on the calling goroutine alone. A CG
+// iteration meets at a pool barrier once per op, and on an L2-resident
+// system the barriers cost what the second core saves; a serial solve also
+// leaves that core to the analysis' other lane (package flow). Measured
+// with BenchmarkThermalSolveGrid fast-reuse (multigrid, warm-started
+// re-solve of a moved hotspot, 20-30 solves per run) on a 2-vCPU x86-64
+// host, median ms/solve over 13 runs (5 at 112 and 160), 1 worker vs 2:
+//
+//	grid        unknowns  1 worker  2 workers
+//	40x40x9       14,400      17.1       18.7
+//	80x80x9       57,600      58.1       56.7   (within the run spread)
+//	112x112x9    112,896     112.7       99.4
+//	160x160x9    230,400     219.3      172.8
+//
+// The crossover sits at about 57,600 unknowns; 2^15 rows per worker keeps
+// 80x80x9 and smaller serial and splits 112x112x9 and larger.
+const minRowsPerWorker = 1 << 15
 
 // CG is a reusable preconditioned conjugate-gradient solver bound to one
 // matrix (Jacobi by default, or the Preconditioner given in the options).
@@ -80,14 +94,19 @@ type CG struct {
 	b, x        []float64
 	alpha, beta float64
 
+	// workers split the grid lines at bounds (line indices); each worker
+	// stores the reduction partial of every line it owns in lineSum, and
+	// the caller adds them in line order — the order the serial path adds
+	// them in, so the sums are the same for any worker count.
 	workers int
 	bounds  []int
+	lineSum []float64
 	// pool runs the partitioned ops; tasks is one prebuilt closure per op
 	// code so a solve allocates nothing per iteration. ownPool marks a
 	// private pool that Close releases (a shared pool outlives the CG).
 	pool    *Pool
 	ownPool bool
-	tasks   [opCount]func(w int) float64
+	tasks   [opCount]func(w int)
 }
 
 // Worker op codes.
@@ -118,8 +137,9 @@ func NewCG(m *Stencil7, opt CGOptions) *CG {
 	if opt.Pool != nil && w > opt.Pool.Workers() {
 		w = opt.Pool.Workers()
 	}
-	if w > n {
-		w = n
+	lines := m.NY * m.NL
+	if w > lines {
+		w = lines
 	}
 	if w < 1 {
 		w = 1
@@ -134,7 +154,8 @@ func NewCG(m *Stencil7, opt CGOptions) *CG {
 		workers: w,
 	}
 	if w > 1 {
-		c.bounds = chunkBounds(n, w)
+		c.bounds = chunkBounds(lines, w)
+		c.lineSum = make([]float64, lines)
 		if opt.Pool != nil {
 			c.pool = opt.Pool
 		} else {
@@ -143,8 +164,10 @@ func NewCG(m *Stencil7, opt CGOptions) *CG {
 		}
 		for op := 0; op < opCount; op++ {
 			op := op
-			c.tasks[op] = func(w int) float64 {
-				return c.runRange(op, c.bounds[w], c.bounds[w+1])
+			c.tasks[op] = func(w int) {
+				for ln, g := c.bounds[w], c.m.lineAt(c.bounds[w]); ln < c.bounds[w+1]; ln, g = ln+1, c.m.next(g) {
+					c.lineSum[ln] = c.runLine(op, g)
+				}
 			}
 		}
 	}
@@ -285,26 +308,39 @@ func (c *CG) precond(ctx context.Context) (float64, error) {
 	return c.run(opDotRZ), nil
 }
 
-// run executes one op over all rows, either inline or on the worker pool,
-// and returns the summed partial result (0 for ops without a reduction).
+// run executes one op over all grid lines, either inline or on the worker
+// pool, and returns the sum of the per-line partials added in line order
+// (0 for ops without a reduction).
 func (c *CG) run(op int) float64 {
+	sum := 0.0
 	if !c.pool.Parallel(c.workers) {
-		return c.runRange(op, 0, c.m.N())
+		for ln, g := 0, c.m.lineAt(0); ln < c.m.NY*c.m.NL; ln, g = ln+1, c.m.next(g) {
+			sum += c.runLine(op, g)
+		}
+		return sum
 	}
-	return c.pool.Run(c.workers, c.tasks[op])
+	c.pool.Run(c.workers, c.tasks[op])
+	if op != opUpdateP {
+		for _, v := range c.lineSum {
+			sum += v
+		}
+	}
+	return sum
 }
 
-// runRange executes one op over rows [lo, hi) and returns its partial sum.
-func (c *CG) runRange(op, lo, hi int) float64 {
+// runLine executes one op on the nodes of grid line g and returns its
+// partial sum, accumulated in node order.
+func (c *CG) runLine(op int, g gridLine) float64 {
+	lo, hi := g.i0, g.i0+c.m.NX
 	switch op {
 	case opResidual:
-		return c.m.residualRange(c.b, c.x, c.r, lo, hi)
+		return c.m.residualLine(c.b, c.x, c.r, g)
 	case opMatVecDot:
-		return c.m.matVecDotRange(c.p, c.ap, lo, hi)
+		return c.m.matVecDotLine(c.p, c.ap, g)
 	case opUpdateXR:
 		alpha, s := c.alpha, 0.0
-		x, r, p, ap := c.x, c.r, c.p, c.ap
-		for i := lo; i < hi; i++ {
+		x, r, p, ap := c.x[lo:hi], c.r[lo:hi], c.p[lo:hi], c.ap[lo:hi]
+		for i := range x {
 			x[i] += alpha * p[i]
 			r[i] -= alpha * ap[i]
 			s += r[i] * r[i]
@@ -312,22 +348,22 @@ func (c *CG) runRange(op, lo, hi int) float64 {
 		return s
 	case opPrecond:
 		s := 0.0
-		r, z, diag := c.r, c.z, c.m.Diag
-		for i := lo; i < hi; i++ {
+		r, z, diag := c.r[lo:hi], c.z[lo:hi], c.m.Diag[lo:hi]
+		for i := range r {
 			z[i] = r[i] / diag[i]
 			s += r[i] * z[i]
 		}
 		return s
 	case opUpdateP:
 		beta := c.beta
-		p, z := c.p, c.z
-		for i := lo; i < hi; i++ {
+		p, z := c.p[lo:hi], c.z[lo:hi]
+		for i := range p {
 			p[i] = z[i] + beta*p[i]
 		}
 	case opDotRZ:
 		s := 0.0
-		r, z := c.r, c.z
-		for i := lo; i < hi; i++ {
+		r, z := c.r[lo:hi], c.z[lo:hi]
+		for i := range r {
 			s += r[i] * z[i]
 		}
 		return s

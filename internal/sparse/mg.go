@@ -85,7 +85,7 @@ type mgLevel struct {
 	lineBounds, coarseBounds []int
 	scratch                  [][]float64
 	curB, curX, curR, curCX  []float64
-	tasks                    [mgOpCount]func(w int) float64
+	tasks                    [mgOpCount]func(w int)
 }
 
 // Level kernels.
@@ -176,10 +176,7 @@ func (lv *mgLevel) setWorkers(k int, p *Pool) {
 	}
 	lv.pool = p
 	for op := 0; op < mgOpCount; op++ {
-		lv.tasks[op] = func(w int) float64 {
-			lv.runLines(op, w)
-			return 0
-		}
+		lv.tasks[op] = func(w int) { lv.runLines(op, w) }
 	}
 }
 
@@ -201,17 +198,15 @@ func (lv *mgLevel) run(op int, b, x, r, cx []float64) {
 func (lv *mgLevel) runLines(op, w int) {
 	m, b, x := lv.m, lv.curB, lv.curX
 	lo, hi := lv.lineBounds[w], lv.lineBounds[w+1]
-	switch op {
-	case mgResidual:
-		m.residualRange(b, x, lv.curR, lo*m.NX, hi*m.NX)
-		return
-	case mgRestrict:
+	if op == mgRestrict {
 		lv.restrictLines(b, x, lv.curR, lv.scratch[w], lv.coarseBounds[w], lv.coarseBounds[w+1])
 		return
 	}
 	g := m.lineAt(lo)
 	for ln := lo; ln < hi; ln, g = ln+1, m.next(g) {
 		switch op {
+		case mgResidual:
+			m.residualLine(b, x, lv.curR, g)
 		case mgJacobiRed:
 			m.jacobiLine(b, x, g, red)
 		case mgRed:
@@ -238,7 +233,7 @@ func (lv *mgLevel) restrictLines(b, x, cb, t []float64, lo, hi int) {
 		clear(row)
 		for iy := 2 * cg.iy; iy < min(2*cg.iy+2, m.NY); iy++ {
 			g := gridLine{cg.l, iy, (cg.l*m.NY + iy) * m.NX}
-			m.axLine(x, t, g, 0, m.NX)
+			m.axLine(x, t, g)
 			for ix, v := range b[g.i0 : g.i0+m.NX] {
 				row[ix/2] += v - t[ix]
 			}

@@ -20,9 +20,8 @@ import (
 // the solvers in this repository issue strictly sequential operations.
 type Pool struct {
 	workers int
-	ops     []chan func(w int) float64
+	ops     []chan func(w int)
 	wg      sync.WaitGroup
-	partial []float64
 	started bool
 	closed  bool
 
@@ -39,10 +38,9 @@ func NewPool(workers int) *Pool {
 	}
 	p := &Pool{workers: workers}
 	if workers > 1 {
-		p.partial = make([]float64, workers*padStride)
-		p.ops = make([]chan func(w int) float64, workers)
+		p.ops = make([]chan func(w int), workers)
 		for i := range p.ops {
-			p.ops[i] = make(chan func(w int) float64, 1)
+			p.ops[i] = make(chan func(w int), 1)
 		}
 	}
 	return p
@@ -50,7 +48,9 @@ func NewPool(workers int) *Pool {
 
 // AutoWorkers returns the pool size the package would pick for an n-row
 // system: GOMAXPROCS capped so every worker owns at least minRowsPerWorker
-// rows (and at least 1).
+// (32,768) rows, and at least 1. Systems under 65,536 rows, among them the
+// paper's 40x40x9 thermal grid, therefore solve serially on any host; see
+// minRowsPerWorker for the measured crossover.
 func AutoWorkers(n int) int {
 	w := runtime.GOMAXPROCS(0)
 	if byRows := n / minRowsPerWorker; w > byRows {
@@ -82,17 +82,18 @@ func (p *Pool) Parallel(k int) bool {
 	return true
 }
 
-// Run executes task(w) for w = 0..k-1 on the pool workers and returns the
-// per-worker results summed in worker order (so reductions are bit-stable
-// for a fixed k). Callers must have obtained Parallel(k) == true; k must
-// not exceed Workers().
+// Run executes task(w) for w = 0..k-1 on the pool workers and returns once
+// all of them are done. Callers must have obtained Parallel(k) == true; k
+// must not exceed Workers(). A task that computes a reduction stores its
+// partials where the caller sums them in a fixed order (see CG.run), so the
+// result does not depend on k.
 //
 // A panic inside a task does not kill the worker goroutine or deadlock the
 // sibling workers: the worker contains it, the siblings finish their ranges,
 // and Run rethrows the first contained panic — as a located *fault.ErrPanic
 // — on the calling goroutine, where the owning solver's recovery converts it
 // into an ordinary error. The pool stays usable afterwards.
-func (p *Pool) Run(k int, task func(w int) float64) float64 {
+func (p *Pool) Run(k int, task func(w int)) {
 	p.wg.Add(k)
 	for w := 0; w < k; w++ {
 		p.ops[w] <- task
@@ -105,11 +106,6 @@ func (p *Pool) Run(k int, task func(w int) float64) float64 {
 	if pe != nil {
 		panic(pe)
 	}
-	sum := 0.0
-	for w := 0; w < k; w++ {
-		sum += p.partial[w*padStride]
-	}
-	return sum
 }
 
 func (p *Pool) worker(w int) {
@@ -120,7 +116,7 @@ func (p *Pool) worker(w int) {
 
 // runTask executes one task, containing a panic so the worker survives and
 // the barrier in Run is always released.
-func (p *Pool) runTask(w int, task func(w int) float64) {
+func (p *Pool) runTask(w int, task func(w int)) {
 	defer p.wg.Done()
 	defer func() {
 		if v := recover(); v != nil {
@@ -131,7 +127,7 @@ func (p *Pool) runTask(w int, task func(w int) float64) {
 			p.panicMu.Unlock()
 		}
 	}()
-	p.partial[w*padStride] = task(w)
+	task(w)
 }
 
 // Close stops the worker goroutines. Operations issued afterwards run

@@ -180,16 +180,12 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// refReduce sums f over the CG's per-worker row ranges the way CG.run does:
-// one call over all rows serially, partials summed in worker order on the
-// pool.
-func refReduce(bounds []int, n int, f func(lo, hi int) float64) float64 {
-	if bounds == nil {
-		return f(0, n)
-	}
+// refReduce sums f over the grid lines of nx rows the way CG.run does for
+// any worker count: one partial per line, the partials added in line order.
+func refReduce(nx, n int, f func(lo, hi int) float64) float64 {
 	s := 0.0
-	for w := 0; w+1 < len(bounds); w++ {
-		s += f(bounds[w], bounds[w+1])
+	for lo := 0; lo < n; lo += nx {
+		s += f(lo, lo+nx)
 	}
 	return s
 }
@@ -217,7 +213,7 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 			copy(cg.p, p)
 			pap := cg.run(opMatVecDot)
 			wantAp := make([]float64, n)
-			wantPAp := refReduce(cg.bounds, n, func(lo, hi int) float64 {
+			wantPAp := refReduce(nx, n, func(lo, hi int) float64 {
 				s := 0.0
 				for i := lo; i < hi; i++ {
 					wantAp[i] = ref.rowSum(p, i)
@@ -231,7 +227,7 @@ func TestStencilKernelsMatchCSR(t *testing.T) {
 			cg.b, cg.x = b, x
 			rr := cg.run(opResidual)
 			wantR := make([]float64, n)
-			wantRR := refReduce(cg.bounds, n, func(lo, hi int) float64 { return ref.residual(b, x, wantR, lo, hi) })
+			wantRR := refReduce(nx, n, func(lo, hi int) float64 { return ref.residual(b, x, wantR, lo, hi) })
 			sameBits(t, name+" residual", cg.r, wantR)
 			sameBits(t, name+" r·r", []float64{rr}, []float64{wantRR})
 			cg.Close()

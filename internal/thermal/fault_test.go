@@ -165,7 +165,7 @@ func TestSolverSurfacesNotConverged(t *testing.T) {
 // surfaces as a located typed error, not a crash, and that the solver, its
 // pool and the goroutine count all survive.
 func TestSolverPanicContained(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := pooledConfig(t)
 	cfg.Stats = &fault.Stats{}
 	cfg.Inject = &fault.Injector{PanicCGSolveN: 1}
 	pm := faultTestPower(cfg)
@@ -174,6 +174,9 @@ func TestSolverPanicContained(t *testing.T) {
 	s, err := NewSolver(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.Workers() < 2 {
+		t.Fatalf("solver runs on %d worker(s); the panic must land inside a pool task", s.Workers())
 	}
 	_, serr := s.Solve(pm)
 	var pe *fault.ErrPanic

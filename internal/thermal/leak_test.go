@@ -26,12 +26,26 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
+// pooledConfig returns a solver configuration whose CG is split across pool
+// workers: a grid above the size sparse.AutoWorkers keeps serial, with
+// GOMAXPROCS raised to 2 for the test when the host runs fewer.
+func pooledConfig(t *testing.T) Config {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	cfg := DefaultConfig()
+	cfg.NX, cfg.NY = 88, 88 // 69,696 unknowns: at least two pool workers
+	return cfg
+}
+
 // TestSolverCloseReleasesGoroutines is the goroutine-leak regression for
 // thermal.Solver: repeated build / solve / Close cycles — and one-shot
 // thermal.Solve calls, which close their internal solver — must leave the
 // goroutine count where it started.
 func TestSolverCloseReleasesGoroutines(t *testing.T) {
-	cfg := DefaultConfig() // 40x40x9: big enough for a parallel CG pool
+	cfg := pooledConfig(t)
 	pm := geom.NewGrid(cfg.NX, cfg.NY, geom.Rect{Xlo: 0, Ylo: 0, Xhi: 360, Yhi: 360})
 	pm.Fill(0.02 / float64(cfg.NX*cfg.NY))
 
@@ -40,6 +54,9 @@ func TestSolverCloseReleasesGoroutines(t *testing.T) {
 		s, err := NewSolver(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if s.Workers() < 2 {
+			t.Fatalf("solver runs on %d worker(s); the test needs a parallel CG pool", s.Workers())
 		}
 		if _, err := s.Solve(pm); err != nil {
 			t.Fatal(err)

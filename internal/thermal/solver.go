@@ -424,11 +424,10 @@ func (s *Solver) restrictPM(pm *geom.Grid) *geom.Grid {
 func (s *Solver) injectPanic(solveN int) {
 	w := s.cg.Workers()
 	if w > 1 && s.pool.Parallel(w) {
-		s.pool.Run(w, func(task int) float64 {
+		s.pool.Run(w, func(task int) {
 			if task == 0 {
 				panic(fmt.Sprintf("fault: injected panic inside pool task (solve %d)", solveN))
 			}
-			return 0
 		})
 		return
 	}
